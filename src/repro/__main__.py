@@ -35,11 +35,10 @@ profile NAME [--scale S] [--seed K] [--format text|json|prom] [--sites]
 trace NAME OUT.jsonl [--scale S] [--seed K] [--racy]
     Record a benchmark's access trace to a file (record-only, so racy
     variants capture the race for offline analysis).
-analyze TRACE [--mode scalar|batch|sharded] [--shards N] [--jobs N]
-        [--salvage] [--hot-sites K] [--json]
-    Race-analyze a recorded trace offline: the vectorized check_block
-    batch path by default, or sharded across worker processes; all
-    modes report identical verdicts, racing pairs and clean.* counters.
+analyze TRACE [--mode scalar|batch] [--salvage] [--hot-sites K] [--json]
+    Race-analyze a recorded trace offline: the windowed batch kernel by
+    default, or the per-access scalar reference; both modes report
+    identical verdicts, race payloads and clean.* counters.
     ``--hot-sites K`` ranks the K most-accessed shared addresses.
     Exits 1 when a race is found.
 serve [--host H] [--port P] [--workers N] [--queue-size N] [--quota T]
@@ -462,8 +461,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     report = analyze_trace(
         args.trace,
         mode=args.mode,
-        shards=args.shards,
-        workers=args.jobs,
         salvage=args.salvage,
         hot_sites=args.hot_sites,
     )
@@ -472,9 +469,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         return 1 if report.racy else 0
     print(
         f"analyzed {report.accesses} accesses / {report.syncs} syncs "
-        f"across {report.threads} threads ({report.mode} mode"
-        + (f", {report.shards} shards" if report.shards else "")
-        + ")"
+        f"across {report.threads} threads ({report.mode} mode)"
     )
     if report.racy:
         race = report.race
@@ -936,16 +931,9 @@ def main(argv=None) -> int:
         "analyze", help="race-analyze a recorded trace offline"
     )
     p.add_argument("trace")
-    p.add_argument("--mode", default="batch",
-                   choices=["scalar", "batch", "sharded"],
-                   help="scalar reference, vectorized check_block batch "
-                        "(default), or address-sharded worker processes")
-    p.add_argument("--shards", type=int, default=0,
-                   help="address shards for --mode sharded (0 = one per "
-                        "worker)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes for --mode sharded "
-                        "(default: CPU count)")
+    p.add_argument("--mode", default="batch", choices=["scalar", "batch"],
+                   help="windowed batch kernel (default) or the per-access "
+                        "scalar reference")
     p.add_argument("--salvage", action="store_true",
                    help="analyze the readable prefix of a damaged trace")
     p.add_argument("--hot-sites", type=int, default=0, metavar="K",

@@ -9,17 +9,10 @@ rebuilds the execution's happens-before relation from those descriptors
 and drives the CLEAN detector over the trace, entirely offline:
 
 * **scalar** mode replays one access at a time through the exact
-  per-event monitor path;
-* **batch** mode hands each synchronization-free run to the vectorized
-  ``check_block`` lane — same verdicts, same counters, much faster;
-* **sharded** mode splits the *address space* across worker processes
-  (:class:`~repro.exec.runner.JobRunner`): every shard replays the full
-  synchronization stream but race-checks only the accesses it owns, so
-  detection parallelizes across cores.  Shard verdicts merge by
-  earliest global access position — deterministic in submission order —
-  and a follow-up batch replay (stopping at the merged race) produces
-  the exact counter trail, so ``sharded`` reports are verdict- and
-  counter-identical to ``scalar`` and ``batch``.
+  per-event monitor path — the reference lane;
+* **batch** mode race-checks whole windows of segments at once (see
+  :class:`_Window`) — same verdicts, same race payloads, same counters,
+  much faster.
 
 Replay order
 ------------
@@ -29,7 +22,7 @@ the global order of their closing syncs; a thread's vector clock only
 changes at its own commits, so this order is consistent with the
 recorded happens-before relation.  Race-free traces therefore get the
 exact live verdicts and counters; racy traces get a canonical,
-deterministic order so every analysis mode agrees on the first race.
+deterministic order so both modes agree on the first race.
 
 Traces from recorders older than the descriptor format (sync events
 with a zero global index) cannot be replayed faithfully and are
@@ -39,20 +32,27 @@ rejected with a clear error — re-record the trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .clean import CleanMonitor
 from .core.detector import CleanDetector
 from .core.epoch import DEFAULT_LAYOUT, EpochLayout
-from .core.exceptions import RaceException
-from .runtime.trace import SYNC, StreamingTrace, Trace, open_trace
+from .core.exceptions import (
+    MetadataError,
+    RaceException,
+    RawRaceException,
+    WawRaceException,
+)
+from .runtime.trace import StreamingTrace, Trace, open_trace
 
 __all__ = ["AnalysisReport", "analyze_trace"]
 
-#: Fallback shard count: one shard per core leaves no core idle.
-DEFAULT_GRANULARITY = 64
+#: Shared accesses the batch lane collects before resolving them in one
+#: numpy pass.  Throughput is flat from 2k to 8k; much larger windows
+#: only grow peak memory and the time to a racy verdict.
+WINDOW = 4096
 
 
 @dataclass
@@ -70,9 +70,6 @@ class AnalysisReport:
     syncs: int
     #: ``clean.*`` counter totals (detector stats + fast path + shadow).
     counters: Dict[str, float]
-    shards: int = 0
-    #: per-shard verdict summaries (sharded mode only)
-    shard_stats: List[Dict[str, Any]] = field(default_factory=list)
     #: top-K shared addresses by access count (``hot_sites`` > 0 only)
     hot_sites: List[Dict[str, Any]] = field(default_factory=list)
 
@@ -87,8 +84,6 @@ class AnalysisReport:
             "accesses": self.accesses,
             "syncs": self.syncs,
             "counters": dict(self.counters),
-            "shards": self.shards,
-            "shard_stats": list(self.shard_stats),
             "hot_sites": list(self.hot_sites),
         }
 
@@ -99,7 +94,9 @@ class AnalysisReport:
 class _Cols:
     """One thread's full event stream as numpy columns."""
 
-    __slots__ = ("kinds", "addresses", "sizes", "private", "sync_names")
+    __slots__ = (
+        "kinds", "addresses", "sizes", "private", "sync_names", "sync_pos"
+    )
 
     def __init__(self, trace: object, tid: int) -> None:
         kinds, addresses, sizes, private = [], [], [], []
@@ -126,6 +123,8 @@ class _Cols:
             self.private = np.zeros(0, dtype=bool)
         #: event position -> sync descriptor
         self.sync_names = names
+        #: event positions of the thread's syncs, ascending
+        self.sync_pos = np.flatnonzero(self.kinds == 2)
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -150,8 +149,9 @@ class _Plan:
         }
         self.syncs: List[_SyncPoint] = []
         for tid, cols in self.cols.items():
-            for pos in np.flatnonzero(cols.kinds == 2):
-                pos = int(pos)
+            if (cols.sizes[(cols.kinds != 2) & ~cols.private] < 1).any():
+                raise ValueError("trace has a zero-size shared access")
+            for pos in cols.sync_pos.tolist():
                 order = int(cols.addresses[pos])
                 if order <= 0:
                     raise ValueError(
@@ -208,28 +208,17 @@ class _MonitorReplay:
     Mirrors exactly the live hook sequence: accesses of a segment, then
     the segment's sync's happens-before edges, then the sync-commit
     invalidation — so verdicts and every counter match a live run of
-    the same interleaving.
+    the same interleaving.  Batch mode defers each segment's accesses
+    to a :class:`_Window` and keeps replaying syncs through the same
+    hooks.
     """
 
-    def __init__(
-        self,
-        plan: _Plan,
-        monitor: CleanMonitor,
-        batch: bool,
-        stop_after: Optional[int] = None,
-    ) -> None:
+    def __init__(self, plan: _Plan, monitor: CleanMonitor, batch: bool) -> None:
         self.plan = plan
         self.monitor = monitor
-        self.batch = batch
-        self.stop_after = stop_after  # global access position bound
+        self.window = _Window(plan, monitor) if batch else None
         self.position = 0
         self._cursor: Dict[int, int] = {tid: 0 for tid in plan.cols}
-        self._next_sync: Dict[int, List[int]] = {
-            tid: sorted(
-                int(p) for p in np.flatnonzero(plan.cols[tid].kinds == 2)
-            )
-            for tid in plan.cols
-        }
         self.race: Optional[RaceException] = None
         self.race_position: Optional[int] = None
 
@@ -243,10 +232,12 @@ class _MonitorReplay:
                 self._cursor[sync.tid] = sync.pos + 1
             for tid in sorted(self.plan.cols):
                 self._flush(tid, len(self.plan.cols[tid]))
+            if self.window is not None:
+                self.window.resolve()
         except RaceException as exc:
             self.race = exc
-        except _Stop:
-            pass
+            if self.window is not None:
+                self.race_position = self.window.race_position
 
     # -- segments ---------------------------------------------------------
 
@@ -256,43 +247,25 @@ class _MonitorReplay:
         if end <= start:
             return
         self._cursor[tid] = end
-        cols = self.plan.cols[tid]
         base = self.position
         self.position += end - start
-        if self.stop_after is not None and self.position > self.stop_after:
-            end = start + (self.stop_after - base)
-        if self.batch:
-            # Columnar hand-off: the decoded trace columns go to the
-            # monitor's batch lane without materializing one tuple.
+        if self.window is not None:
+            self.window.add(tid, start, end, base)
+            return
+        cols = self.plan.cols[tid]
+        is_write = (cols.kinds[start:end] == 1).tolist()
+        addr = cols.addresses[start:end].tolist()
+        size = cols.sizes[start:end].tolist()
+        private = cols.private[start:end].tolist()
+        check = self.monitor._check_one
+        for i in range(len(addr)):
+            if private[i]:
+                continue
             try:
-                self.monitor.check_block(
-                    tid,
-                    (
-                        cols.kinds[start:end] == 1,
-                        cols.addresses[start:end],
-                        cols.sizes[start:end],
-                        cols.private[start:end],
-                    ),
-                )
+                check(tid, is_write[i], addr[i], size[i])
             except RaceException:
-                self.race_position = None  # batch lane loses the offset
+                self.race_position = base + i
                 raise
-        else:
-            is_write = (cols.kinds[start:end] == 1).tolist()
-            addr = cols.addresses[start:end].tolist()
-            size = cols.sizes[start:end].tolist()
-            private = cols.private[start:end].tolist()
-            check = self.monitor._check_one
-            for i in range(len(addr)):
-                if private[i]:
-                    continue
-                try:
-                    check(tid, is_write[i], addr[i], size[i])
-                except RaceException:
-                    self.race_position = base + i
-                    raise
-        if self.stop_after is not None and self.position >= self.stop_after:
-            raise _Stop
 
     # -- synchronization --------------------------------------------------
 
@@ -300,6 +273,13 @@ class _MonitorReplay:
         monitor = self.monitor
         tid = sync.tid
         kind, _, rest = sync.descriptor.partition(":")
+        if kind == "Join":
+            # The child's trailing accesses (after its last sync) happened
+            # before this join; replay them before retiring its tid.
+            child = int(rest)
+            self._flush(child, self._segment_end(child))
+        if self.window is not None:
+            self.window.before_sync()
         if kind == "Acquire":
             monitor.on_acquire(tid, rest)
         elif kind == "Release":
@@ -326,11 +306,7 @@ class _MonitorReplay:
             monitor.on_thread_start(child, tid)
             monitor.on_spawn(tid, child)
         elif kind == "Join":
-            child = int(rest)
-            # The child's trailing accesses (after its last sync) happened
-            # before this join; replay them before retiring its tid.
-            self._flush(child, self._segment_end(child))
-            monitor.on_join(tid, child)
+            monitor.on_join(tid, int(rest))
         else:
             raise ValueError(f"unknown sync descriptor {sync.descriptor!r}")
         monitor.on_sync_commit(tid, None)
@@ -342,28 +318,226 @@ class _MonitorReplay:
 
     def _segment_end(self, tid: int) -> int:
         """End of ``tid``'s current open segment: its next sync, or EOF."""
-        cursor = self._cursor[tid]
-        for pos in self._next_sync[tid]:
-            if pos >= cursor:
-                return pos
-        return len(self.plan.cols[tid])
+        cols = self.plan.cols[tid]
+        i = int(np.searchsorted(cols.sync_pos, self._cursor[tid]))
+        return int(cols.sync_pos[i]) if i < len(cols.sync_pos) else len(cols)
 
 
-class _Stop(Exception):
-    """Internal: the stop-limit bound was reached (not an error)."""
+class _Window:
+    """The batch lane: pending segments race-checked in one numpy pass.
+
+    CLEAN's check (Figure 2) compares each byte's last-write epoch with
+    the accessing thread's vector clock, and only sync commits change
+    that clock.  So each segment is queued with a snapshot of its
+    thread's vector clock, syncs keep replaying, and once ``WINDOW``
+    shared accesses are pending the whole window is resolved at once:
+
+    * every access expands into its bytes, stably sorted by address;
+    * a byte's prior epoch is that of its last earlier write in the
+      window (all writes of a segment install the segment's epoch), else
+      the epoch store's;
+    * the Figure-2 predicate runs against the owning segment's snapshot;
+    * an access is a same-epoch hit iff every byte's last writer is in
+      its own segment — exactly the monitor's written-this-epoch test,
+      since that set starts empty with every segment.
+
+    Counters accumulate into the detector's ``stats``, the epoch store's
+    ``loads``/``stores`` and the monitor's fast-path tallies exactly as
+    the scalar lane accounts them; each byte's last epoch is written
+    back to the store.  The first racy access is accounted and raised as
+    ``CleanDetector._check_access`` would, and replay stops there.
+    """
+
+    def __init__(self, plan: _Plan, monitor: CleanMonitor) -> None:
+        self.monitor = monitor
+        self.detector = monitor.detector
+        self.shadow = self.detector.shadow
+        self.layout = self.detector.layout
+        # Shared accesses of every thread, concatenated thread-major; a
+        # segment is one contiguous range of these columns.
+        parts = [(np.zeros(0, bool),) + (np.zeros(0, np.int64),) * 3]
+        self._before: Dict[int, Dict[int, int]] = {}
+        offset = 0
+        for tid, cols in plan.cols.items():
+            shared = np.flatnonzero((cols.kinds != 2) & ~cols.private)
+            bounds = np.concatenate(
+                ([0, len(cols)], cols.sync_pos, cols.sync_pos + 1)
+            )
+            counts = np.searchsorted(shared, bounds) + offset
+            # segment bound (event index) -> shared accesses before it
+            self._before[tid] = dict(zip(bounds.tolist(), counts.tolist()))
+            parts.append((
+                cols.kinds[shared] == 1, cols.addresses[shared],
+                cols.sizes[shared], shared,
+            ))
+            offset += len(shared)
+        #: ``event`` is each shared access's event index within its thread
+        self.is_write, self.addr, self.size, self.event = (
+            np.concatenate(column) for column in zip(*parts)
+        )
+        self.segments: List[tuple] = []
+        self.pending = 0
+        self.syncs = 0
+        self.race_position: Optional[int] = None
+
+    def add(self, tid: int, start: int, end: int, base: int) -> None:
+        """Queue ``tid``'s events ``[start, end)``, replay position ``base``."""
+        before = self._before[tid]
+        lo, hi = before[start], before[end]
+        if lo == hi:
+            return
+        try:
+            vc = self.detector.thread_vc(tid)
+        except MetadataError:
+            self.resolve()  # a race earlier in replay order wins
+            raise
+        self.segments.append(
+            (lo, hi, tid, vc.clocks(), vc.element(tid), base - start)
+        )
+        self.pending += hi - lo
+        if self.pending >= WINDOW:
+            self.resolve()
+
+    def before_sync(self) -> None:
+        """Resolve the window if the next sync could roll clocks over.
+
+        The replay starts at clock 1 and a sync raises the largest clock
+        anywhere by at most one (every advance starts from a clock some
+        vector clock already holds), so before the ``s``-th sync no
+        clock exceeds ``s``.  The rollover trigger — advancing a clock
+        that reads ``clock_max`` — therefore cannot fire before sync
+        number ``clock_max``; from there on every sync closes the window
+        first, so a metadata reset never lands inside one.
+        """
+        self.syncs += 1
+        if self.syncs >= self.layout.clock_max:
+            self.resolve()
+
+    def resolve(self) -> None:
+        """Race-check every pending access, in replay order."""
+        if not self.segments:
+            return
+        lo, hi, tids, clocks, epochs, offsets = zip(*self.segments)
+        self.segments = []
+        self.pending = 0
+        lo = np.array(lo, dtype=np.int64)
+        lens = np.array(hi, dtype=np.int64) - lo
+        n = int(lens.sum())
+        seg = np.repeat(np.arange(len(lens)), lens)
+        idx = np.arange(n) + np.repeat(lo - (np.cumsum(lens) - lens), lens)
+        is_write, addr, size = self.is_write[idx], self.addr[idx], self.size[idx]
+        epoch = np.array(epochs, dtype=np.int64)
+        vcs = np.array(clocks, dtype=np.int64)
+
+        # Bytes, stably sorted by address: within one address, replay order.
+        starts = np.cumsum(size) - size
+        total = int(starts[-1] + size[-1])
+        k = np.arange(total)
+        baddr = k + np.repeat(addr - starts, size)
+        order = np.argsort(baddr, kind="stable")
+        baddr = baddr[order]
+        acc = np.repeat(np.arange(n), size)[order]
+        head = np.ones(total, dtype=bool)
+        head[1:] = baddr[1:] != baddr[:-1]
+        first = np.maximum.accumulate(np.where(head, k, 0))
+        byte_write = is_write[acc]
+        last_write = np.maximum.accumulate(np.where(byte_write, k, -1))
+        prior = np.empty(total, dtype=np.int64)
+        prior[0] = -1
+        prior[1:] = last_write[:-1]
+        inside = prior >= first
+        byte_seg = seg[acc]
+        writer_seg = seg[acc[prior]]
+        e = np.where(inside, epoch[writer_seg], self.shadow.gather(baddr))
+        layout = self.layout
+        racy = (e & layout.clock_max) > vcs[
+            byte_seg, (e >> layout.clock_bits) & layout.max_tid
+        ]
+        same = inside & (writer_seg == byte_seg)
+        hit = np.bincount(acc[~same], minlength=n) == 0
+        racy_acc = np.bincount(acc[racy], minlength=n) > 0
+        # Back in access order, where each access's bytes are contiguous.
+        e_acc, racy_byte = np.empty_like(e), np.empty_like(racy)
+        e_acc[order], racy_byte[order] = e, racy
+        uniform = np.minimum.reduceat(e_acc, starts) == np.maximum.reduceat(
+            e_acc, starts
+        )
+        r = int(np.argmax(racy_acc)) if racy_acc.any() else n
+
+        # Accesses before the first racy one, as the scalar lane counts.
+        stats = self.detector.stats
+        w, sz, hit = is_write[:r], size[:r], hit[:r]
+        multi = sz > 1
+        n_writes = int(w.sum())
+        stats.writes += n_writes
+        stats.reads += r - n_writes
+        stats.written_bytes += int(sz[w].sum())
+        stats.read_bytes += int(sz[~w].sum())
+        stats.accesses_ge_4_bytes += int((sz >= 4).sum())
+        stats.multibyte_accesses += int(multi.sum())
+        single = multi & uniform[:r]  # one comparison covers every byte
+        stats.multibyte_uniform_epoch += int(single.sum())
+        stats.epoch_comparisons += int(np.where(single, 1, sz).sum())
+        n_hits = int(hit.sum())
+        self.monitor.fastpath_hits += n_hits
+        self.monitor.fastpath_misses += r - n_hits
+        self.shadow.loads += int(sz[~hit].sum())
+        done = acc < r
+        updated = int((byte_write & done & (e != epoch[byte_seg])).sum())
+        stats.epoch_updates += updated
+        self.shadow.stores += updated
+
+        # Carry each byte's last epoch into the epoch store.
+        if r < n:
+            last_write = np.maximum.accumulate(
+                np.where(byte_write & done, k, -1)
+            )
+        tail = np.ones(total, dtype=bool)
+        tail[:-1] = head[1:]
+        last = last_write[tail]
+        carried = last >= first[tail]
+        self.shadow.scatter(
+            baddr[tail][carried], epoch[byte_seg[last[carried]]]
+        )
+        if r == n:
+            return
+
+        # The first racy access: CleanDetector._check_access's trail.
+        s = int(seg[r])
+        width = int(size[r])
+        eb = e_acc[starts[r] : starts[r] + width]
+        self.monitor.fastpath_misses += 1
+        self.shadow.loads += width
+        if width > 1:
+            stats.multibyte_accesses += 1
+        if width > 1 and uniform[r]:
+            stats.multibyte_uniform_epoch += 1
+            j = 0
+        else:
+            j = int(np.argmax(racy_byte[starts[r] : starts[r] + width]))
+            width = 1
+            if is_write[r]:
+                updated = int((eb[:j] != epoch[s]).sum())
+                stats.epoch_updates += updated
+                self.shadow.stores += updated
+        stats.epoch_comparisons += j + 1
+        stats.races_raised += 1
+        self.race_position = offsets[s] + int(self.event[idx[r]])
+        writer = int(eb[j])
+        exc = WawRaceException if is_write[r] else RawRaceException
+        raise exc(
+            int(addr[r]) + j, tids[s], layout.tid(writer),
+            layout.clock(writer), width,
+        )
 
 
 def _run_single(
-    plan: _Plan,
-    batch: bool,
-    max_threads: int,
-    layout: EpochLayout,
-    stop_after: Optional[int] = None,
+    plan: _Plan, batch: bool, max_threads: int, layout: EpochLayout
 ) -> Tuple[CleanMonitor, Optional[RaceException], Optional[int]]:
     detector = CleanDetector(max_threads=max_threads, layout=layout)
     monitor = CleanMonitor(detector=detector, max_threads=max_threads)
     monitor.sites = None  # profiling belongs to live runs, not replay
-    replay = _MonitorReplay(plan, monitor, batch=batch, stop_after=stop_after)
+    replay = _MonitorReplay(plan, monitor, batch=batch)
     replay.run()
     return monitor, replay.race, replay.race_position
 
@@ -394,217 +568,6 @@ def _race_payload(
     }
 
 
-# -- the sharded detection phase ----------------------------------------------
-
-
-class _ShardReplay:
-    """One shard's detection pass: full sync stream, owned checks only.
-
-    The shard owns accesses whose start address lies in ``[lo, hi)``.
-    Writes it does not own but whose bytes fall inside the shard's
-    check-visible range ``[lo - span, hi + span)`` are *broadcast*: their
-    epochs install into this shard's table without checks or counters,
-    so owned accesses near the boundary see exactly the byte states the
-    unsharded table would hold.  Detection is verdict-exact: before the
-    execution's first race every shard table matches the unsharded
-    table on all bytes its checks can observe.
-    """
-
-    def __init__(
-        self,
-        plan: _Plan,
-        detector: CleanDetector,
-        lo: int,
-        hi: int,
-        span: int,
-    ) -> None:
-        self.plan = plan
-        self.detector = detector
-        self.lo, self.hi, self.span = lo, hi, span
-        self.position = 0
-        self.checked = 0
-        self._cursor: Dict[int, int] = {tid: 0 for tid in plan.cols}
-        self._next_sync: Dict[int, List[int]] = {
-            tid: sorted(
-                int(p) for p in np.flatnonzero(plan.cols[tid].kinds == 2)
-            )
-            for tid in plan.cols
-        }
-        self.race: Optional[RaceException] = None
-        self.race_position: Optional[int] = None
-
-    def run(self) -> None:
-        self.detector.spawn_root()
-        try:
-            for sync in self.plan.syncs:
-                self._flush(sync.tid, sync.pos)
-                self._apply_sync(sync)
-                self._cursor[sync.tid] = sync.pos + 1
-            for tid in sorted(self.plan.cols):
-                self._flush(tid, len(self.plan.cols[tid]))
-        except RaceException as exc:
-            self.race = exc
-
-    def _flush(self, tid: int, end: int) -> None:
-        start = self._cursor[tid]
-        if end <= start:
-            return
-        self._cursor[tid] = end
-        cols = self.plan.cols[tid]
-        kinds = cols.kinds[start:end]
-        addr = cols.addresses[start:end]
-        size = cols.sizes[start:end]
-        private = cols.private[start:end]
-        base = self.position
-        self.position += end - start
-        shared = ~private
-        owned = shared & (addr >= self.lo) & (addr < self.hi)
-        is_write = kinds == 1
-        broadcast = (
-            shared
-            & is_write
-            & ~owned
-            & (addr < self.hi + self.span)
-            & (addr + size > self.lo)
-        )
-        if not owned.any() and not broadcast.any():
-            return
-        detector = self.detector
-        # Walk owned checks and broadcast installs in program order,
-        # batching maximal owned runs through check_block.
-        action = np.flatnonzero(owned | broadcast)
-        block: List[Tuple[bool, int, int]] = []
-        block_pos: List[int] = []
-
-        def drain() -> None:
-            if not block:
-                return
-            try:
-                detector.check_block(tid, block)
-            except RaceException:
-                self.race_position = block_pos[detector.block_progress]
-                raise
-            finally:
-                del block[:], block_pos[:]
-
-        for i in action.tolist():
-            if owned[i]:
-                block.append((bool(is_write[i]), int(addr[i]), int(size[i])))
-                block_pos.append(base + i)
-                self.checked += 1
-            else:
-                drain()
-                epoch = detector.thread_vc(tid).element(tid)
-                shadow = detector.shadow
-                a, s = int(addr[i]), int(size[i])
-                if hasattr(shadow, "scatter"):
-                    shadow.scatter(np.arange(a, a + s, dtype=np.int64), epoch)
-                else:
-                    for b in range(a, a + s):
-                        shadow.store(b, epoch)
-        drain()
-
-    def _apply_sync(self, sync: _SyncPoint) -> None:
-        detector = self.detector
-        tid = sync.tid
-        kind, _, rest = sync.descriptor.partition(":")
-        if kind == "Acquire":
-            detector.acquire(tid, rest)
-        elif kind == "Release":
-            detector.release(tid, rest)
-        elif kind == "CondWait":
-            _cond, _, lock = rest.partition(":")
-            detector.release(tid, lock)
-        elif kind == "CondWake":
-            lock, _, cond = rest.partition(":")
-            detector.acquire(tid, lock)
-            detector.acquire(tid, cond)
-        elif kind in ("CondSignal", "CondBroadcast"):
-            detector.release(tid, rest)
-        elif kind == "SemWait":
-            detector.acquire(tid, rest)
-        elif kind == "SemPost":
-            detector.release(tid, rest)
-        elif kind == "BarrierWait":
-            detector.release(tid, _barrier_key(rest))
-        elif kind == "Spawn":
-            detector.fork(tid, int(rest))
-        elif kind == "Join":
-            child = int(rest)
-            self._flush(child, self._segment_end(child))
-            detector.join(tid, child)
-        else:
-            raise ValueError(f"unknown sync descriptor {sync.descriptor!r}")
-        if sync.order in self.plan.trips:
-            key = self.plan.trips[sync.order]
-            for arriver in self.plan.episodes[key]:
-                detector.acquire(arriver, _barrier_key(key))
-
-    def _segment_end(self, tid: int) -> int:
-        cursor = self._cursor[tid]
-        for pos in self._next_sync[tid]:
-            if pos >= cursor:
-                return pos
-        return len(self.plan.cols[tid])
-
-
-def _shard_job(
-    trace: str,
-    shard: int,
-    lo: int,
-    hi: int,
-    span: int,
-    max_threads: int,
-    salvage: bool = False,
-) -> Dict[str, Any]:
-    """Job entry point: run one shard's detection pass over a trace file."""
-    plan = _Plan(open_trace(trace, salvage=bool(salvage)))
-    detector = CleanDetector(
-        max_threads=int(max_threads), layout=DEFAULT_LAYOUT
-    )
-    shard_index = int(shard)
-    shard = _ShardReplay(
-        plan, detector, lo=int(lo), hi=int(hi), span=int(span)
-    )
-    shard.run()
-    out: Dict[str, Any] = {
-        "shard": shard_index,
-        "lo": int(lo),
-        "hi": int(hi),
-        "checked": shard.checked,
-        "racy": shard.race is not None,
-        "race": None,
-    }
-    if shard.race is not None:
-        out["race"] = _race_payload(shard.race, shard.race_position)
-    return out
-
-
-def _shard_bounds(plan: _Plan, shards: int) -> List[Tuple[int, int]]:
-    """Contiguous address ranges covering every shared access."""
-    addrs: List[np.ndarray] = []
-    for cols in plan.cols.values():
-        mask = (cols.kinds != 2) & ~cols.private
-        if mask.any():
-            addrs.append(cols.addresses[mask])
-    if not addrs:
-        return [(0, 1)] * shards
-    lo = int(min(int(a.min()) for a in addrs))
-    hi = int(max(int(a.max()) for a in addrs)) + 1
-    cuts = np.linspace(lo, hi, shards + 1).astype(np.int64).tolist()
-    cuts[0], cuts[-1] = lo, hi
-    return [(int(cuts[i]), int(cuts[i + 1])) for i in range(shards)]
-
-
-def _max_span(plan: _Plan) -> int:
-    spans = [
-        int(cols.sizes[cols.kinds != 2].max())
-        for cols in plan.cols.values()
-        if (cols.kinds != 2).any()
-    ]
-    return max(spans, default=1)
-
-
 # -- hot-site ranking ---------------------------------------------------------
 
 
@@ -613,40 +576,47 @@ def _hot_sites(
 ) -> List[Dict[str, Any]]:
     """Top ``top_k`` shared addresses by access count, reads/writes split.
 
-    Pure column arithmetic over the replay plan (no detector state):
-    per-thread ``np.unique`` histograms of shared read/write start
-    addresses, merged across threads, ranked by total accesses with the
-    address as deterministic tie-break.  When the analysis found a race
-    the racing address is flagged in its entry.
+    Pure column arithmetic over the replay plan (no detector state): one
+    ``np.unique`` histogram of every thread's shared start addresses,
+    ranked by total accesses with the address as deterministic
+    tie-break; reads, writes and threads are tallied for the winners
+    only.  When the analysis found a race the racing address is flagged
+    in its entry.
     """
-    reads: Dict[int, int] = {}
-    writes: Dict[int, int] = {}
-    threads: Dict[int, set] = {}
-    for tid, cols in plan.cols.items():
-        shared = (cols.kinds != 2) & ~cols.private
-        for counts, mask in ((reads, cols.kinds == 0), (writes, cols.kinds == 1)):
-            addrs, tallies = np.unique(
-                cols.addresses[shared & mask], return_counts=True
-            )
-            for addr, n in zip(addrs.tolist(), tallies.tolist()):
-                counts[addr] = counts.get(addr, 0) + n
-                threads.setdefault(addr, set()).add(tid)
-    race_addr = race.get("address") if race else None
-    ranked = sorted(
-        set(reads) | set(writes),
-        key=lambda a: (-(reads.get(a, 0) + writes.get(a, 0)), a),
+    shared = []
+    for cols in plan.cols.values():
+        mask = (cols.kinds != 2) & ~cols.private
+        shared.append((cols.addresses[mask], cols.kinds[mask] == 1))
+    addrs, counts = np.unique(
+        np.concatenate([np.zeros(0, np.int64)] + [a for a, _w in shared]),
+        return_counts=True,
     )
-    return [
-        {
+    if not len(addrs):
+        return []
+    top = addrs[np.lexsort((addrs, -counts))[:top_k]]
+    ranked = np.sort(top)
+    reads = np.zeros(len(top), dtype=np.int64)
+    writes = np.zeros(len(top), dtype=np.int64)
+    threads = np.zeros(len(top), dtype=np.int64)
+    for a, is_write in shared:
+        slot = np.minimum(np.searchsorted(ranked, a), len(top) - 1)
+        hit = ranked[slot] == a
+        reads += np.bincount(slot[hit & ~is_write], minlength=len(top))
+        writes += np.bincount(slot[hit & is_write], minlength=len(top))
+        threads[np.unique(slot[hit])] += 1
+    race_addr = race.get("address") if race else None
+    out = []
+    for addr in top.tolist():
+        i = int(np.searchsorted(ranked, addr))
+        out.append({
             "address": addr,
-            "accesses": reads.get(addr, 0) + writes.get(addr, 0),
-            "reads": reads.get(addr, 0),
-            "writes": writes.get(addr, 0),
-            "threads": len(threads.get(addr, ())),
+            "accesses": int(reads[i] + writes[i]),
+            "reads": int(reads[i]),
+            "writes": int(writes[i]),
+            "threads": int(threads[i]),
             "racy": addr == race_addr,
-        }
-        for addr in ranked[:top_k]
-    ]
+        })
+    return out
 
 
 # -- the public entry point ---------------------------------------------------
@@ -655,8 +625,6 @@ def _hot_sites(
 def analyze_trace(
     trace: Union[str, Trace, StreamingTrace],
     mode: str = "batch",
-    shards: int = 0,
-    workers: Optional[int] = None,
     max_threads: Optional[int] = None,
     layout: EpochLayout = DEFAULT_LAYOUT,
     salvage: bool = False,
@@ -665,124 +633,33 @@ def analyze_trace(
     """Race-analyze a recorded trace offline.
 
     ``trace`` is a path or an in-memory/streaming trace.  ``mode`` is
-    ``"scalar"``, ``"batch"`` (default) or ``"sharded"``; sharded mode
-    needs a file path (workers re-open the trace) and splits detection
-    across ``shards`` address ranges executed by ``workers`` processes
-    (defaults: shards = workers = CPU count).  All three modes return
-    identical verdicts, racing pairs and counter totals.  With
-    ``hot_sites`` > 0 the report additionally ranks the top-K shared
-    addresses by access count (the service's ``/report`` diagnostics).
+    ``"scalar"`` (the per-access reference lane) or ``"batch"``
+    (default, the windowed kernel); both return identical verdicts,
+    race payloads and counter totals.  With ``hot_sites`` > 0 the report
+    additionally ranks the top-K shared addresses by access count (the
+    service's ``/report`` diagnostics).
     """
-    path: Optional[str] = None
+    if mode not in ("scalar", "batch"):
+        raise ValueError(f"unknown analysis mode {mode!r}")
     if isinstance(trace, (str,)) or hasattr(trace, "__fspath__"):
-        path = str(trace)
-        trace = open_trace(path, salvage=salvage)
+        trace = open_trace(str(trace), salvage=salvage)
     plan = _Plan(trace)
     if max_threads is None:
         max_threads = max(plan.min_max_threads(), 2)
-
-    if mode in ("scalar", "batch"):
-        monitor, race, position = _run_single(
-            plan, batch=(mode == "batch"), max_threads=max_threads,
-            layout=layout,
-        )
-        payload = _race_payload(race, position) if race is not None else None
-        return AnalysisReport(
-            mode=mode,
-            racy=race is not None,
-            race=payload,
-            threads=plan.threads,
-            events=plan.events,
-            accesses=plan.accesses,
-            syncs=len(plan.syncs),
-            counters=_collect_counters(monitor),
-            hot_sites=(
-                _hot_sites(plan, hot_sites, payload) if hot_sites > 0 else []
-            ),
-        )
-
-    if mode != "sharded":
-        raise ValueError(f"unknown analysis mode {mode!r}")
-
-    import os
-
-    if workers is None:
-        workers = max(os.cpu_count() or 1, 1)
-    if shards <= 0:
-        shards = workers
-    if path is None:
-        raise ValueError(
-            "sharded analysis needs a trace file path (workers re-open it)"
-        )
-
-    from .exec.job import Job
-    from .exec.runner import JobRunner
-
-    bounds = _shard_bounds(plan, shards)
-    span = _max_span(plan)
-    jobs = [
-        Job(
-            fn="repro.analysis:_shard_job",
-            config={
-                "trace": path,
-                "shard": i,
-                "lo": lo,
-                "hi": hi,
-                "span": span,
-                "max_threads": max_threads,
-                "salvage": bool(salvage),
-            },
-            name=f"shard-{i}",
-            group="analysis",
-        )
-        for i, (lo, hi) in enumerate(bounds)
-    ]
-    runner = JobRunner(workers=workers, retries=0, job_telemetry=False)
-    results = runner.run(jobs)
-    shard_stats: List[Dict[str, Any]] = []
-    winner: Optional[Dict[str, Any]] = None
-    for result in results:  # submission order: the merge is deterministic
-        if not result.ok:
-            raise RuntimeError(
-                f"shard job {result.job.name} failed: {result.error}"
-            )
-        shard_stats.append(result.value)
-        race = result.value.get("race")
-        if race is not None and (
-            winner is None or race["position"] < winner["position"]
-        ):
-            winner = race
-
-    # Exact counters: replay the batch lane up to (and including) the
-    # merged race position — the canonical order makes this land on the
-    # same race — or in full when no shard raced.
-    stop = winner["position"] + 1 if winner is not None else None
-    monitor, race, _ = _run_single(
-        plan, batch=True, max_threads=max_threads, layout=layout,
-        stop_after=stop,
+    monitor, race, position = _run_single(
+        plan, batch=(mode == "batch"), max_threads=max_threads, layout=layout
     )
-    if winner is not None and race is None:
-        raise RuntimeError(
-            "sharded verdict did not reproduce in the counting replay "
-            f"(expected race at position {winner['position']})"
-        )
-    if winner is None and race is not None:
-        raise RuntimeError(
-            "counting replay found a race every shard missed "
-            f"({race.kind} at {race.address:#x})"
-        )
+    payload = _race_payload(race, position) if race is not None else None
     return AnalysisReport(
-        mode="sharded",
-        racy=winner is not None,
-        race=winner,
+        mode=mode,
+        racy=race is not None,
+        race=payload,
         threads=plan.threads,
         events=plan.events,
         accesses=plan.accesses,
         syncs=len(plan.syncs),
         counters=_collect_counters(monitor),
-        shards=shards,
-        shard_stats=shard_stats,
         hot_sites=(
-            _hot_sites(plan, hot_sites, winner) if hot_sites > 0 else []
+            _hot_sites(plan, hot_sites, payload) if hot_sites > 0 else []
         ),
     )

@@ -223,7 +223,7 @@ class CleanMonitor(ExecutionMonitor):
             sites.note_check(tid, address, is_write=False)
         self.detector.check_read(tid, address, size)
 
-    # -- the batch lane (replay / analysis) ---------------------------------
+    # -- the batch lane (scheduler access blocks) ----------------------------
 
     #: Below this many accesses the scalar loop beats the numpy setup.
     BATCH_MIN = 16
@@ -242,7 +242,7 @@ class CleanMonitor(ExecutionMonitor):
 
         ``block`` items are ``(is_write, address, size, private)`` —
         one synchronization-free run of a single thread's accesses, as
-        streaming replay and the batch scheduler lane produce them.
+        the batch scheduler lane produces them.
         Semantics are identical to the per-event hooks: same verdicts,
         same fast-path hit/miss counts, same ``note_same_epoch`` /
         SiteProfiler / shadow accounting, and on a race the same
@@ -254,66 +254,28 @@ class CleanMonitor(ExecutionMonitor):
         write in the block covered it), then hit runs collapse into one
         aggregate accounting call and miss runs go to the backend's
         vectorized :meth:`~repro.core.events.DetectorBackend.check_block`.
-
-        ``block`` may also arrive columnar — a 4-tuple of equal-length
-        numpy arrays ``(is_write, address, size, private)`` — which the
-        offline analysis engine hands over straight from its decoded
-        trace columns, skipping every per-event tuple.
         """
-        columnar = (
-            type(block) is tuple
-            and len(block) == 4
-            and isinstance(block[0], np.ndarray)
-        )
-        if columnar and not self.instrument_private_fraction:
-            w_col, a_col, s_col, p_col = block
-            keep = ~np.asarray(p_col, dtype=bool)
-            is_write = np.asarray(w_col, dtype=bool)[keep]
-            addr = np.asarray(a_col, dtype=np.int64)[keep]
-            size = np.asarray(s_col, dtype=np.int64)[keep]
-            n = int(addr.size)
-            items = None
+        if self.instrument_private_fraction:
+            items = [
+                (w, a, s) for (w, a, s, p) in block if self._instrument(p, a)
+            ]
         else:
-            if columnar:
-                w_col, a_col, s_col, p_col = block
-                block = list(
-                    zip(
-                        w_col.tolist(), a_col.tolist(),
-                        s_col.tolist(), p_col.tolist(),
-                    )
-                )
-            if self.instrument_private_fraction:
-                items = [
-                    (w, a, s)
-                    for (w, a, s, p) in block
-                    if self._instrument(p, a)
-                ]
-            else:
-                items = [(w, a, s) for (w, a, s, p) in block if not p]
-            n = len(items)
+            items = [(w, a, s) for (w, a, s, p) in block if not p]
+        n = len(items)
         if not n:
             return
         # The profiler's sampling tick is order-sensitive, and without
         # the fast path there is no classification to batch: replay the
         # exact scalar hook bodies.
         if self.sites is not None or not self._fastpath or n < self.BATCH_MIN:
-            if items is None:
-                items = list(
-                    zip(is_write.tolist(), addr.tolist(), size.tolist())
-                )
             for is_write_, address, size_ in items:
                 self._check_one(tid, is_write_, address, size_)
             return
 
-        if items is not None:
-            is_write = np.fromiter((a[0] for a in items), dtype=bool, count=n)
-            addr = np.fromiter((a[1] for a in items), dtype=np.int64, count=n)
-            size = np.fromiter((a[2] for a in items), dtype=np.int64, count=n)
+        is_write = np.fromiter((a[0] for a in items), dtype=bool, count=n)
+        addr = np.fromiter((a[1] for a in items), dtype=np.int64, count=n)
+        size = np.fromiter((a[2] for a in items), dtype=np.int64, count=n)
         if int(size.min()) < 1:
-            if items is None:
-                items = list(
-                    zip(is_write.tolist(), addr.tolist(), size.tolist())
-                )
             for is_write_, address, size_ in items:
                 self._check_one(tid, is_write_, address, size_)
             return

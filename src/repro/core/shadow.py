@@ -259,17 +259,21 @@ class FlatShadow:
             count=addresses.size,
         )
 
-    def scatter(self, addresses: "np.ndarray", epoch: int) -> None:
-        """Set the epochs at ``addresses`` to ``epoch``, uncounted."""
+    def scatter(self, addresses: "np.ndarray", epochs) -> None:
+        """Set the epochs at ``addresses``, uncounted.
+
+        ``epochs`` is one epoch for every address or an array holding
+        one epoch per address.
+        """
         if addresses.size == 0:
             return
         hi = int(addresses.max())
         if hi < self._window and int(addresses.min()) >= 0:
             self._ensure(hi + 1)
-            self._epochs[addresses] = epoch
+            self._epochs[addresses] = epochs
             return
-        for a in addresses:
-            address = int(a)
+        epochs = np.broadcast_to(epochs, addresses.shape)
+        for address, epoch in zip(addresses.tolist(), epochs.tolist()):
             if self._in_window(address):
                 self._ensure(address + 1)
                 self._epochs[address] = epoch

@@ -54,7 +54,8 @@ class VectorClock:
 
     def clocks(self) -> List[int]:
         """All scalar clocks, by thread index."""
-        return [self.layout.clock(e) for e in self._elems]
+        mask = self.layout.clock_max
+        return [e & mask for e in self._elems]
 
     # -- mutation ----------------------------------------------------------
 
@@ -78,15 +79,17 @@ class VectorClock:
         return new_clock
 
     def join(self, other: "VectorClock") -> None:
-        """Element-wise maximum (by clock component) with ``other``."""
+        """Element-wise maximum (by clock component) with ``other``.
+
+        Element ``i`` is always ``EPOCH(i, clock)``: both words carry the
+        same tid bits, so they order exactly as their clocks do and the
+        maximum of the raw words is the element with the larger clock.
+        """
         if other.layout is not self.layout and other.layout != self.layout:
             raise ValueError("cannot join vector clocks with different layouts")
         if len(other) != len(self):
             raise ValueError("cannot join vector clocks of different sizes")
-        layout = self.layout
-        for i, their in enumerate(other._elems):
-            if layout.clock(their) > layout.clock(self._elems[i]):
-                self._elems[i] = their
+        self._elems = list(map(max, self._elems, other._elems))
 
     def reset(self) -> None:
         """Zero every clock (used by the deterministic rollover reset)."""

@@ -134,9 +134,9 @@ class TraceChunk:
 
     The currency of the batch replay path: a binary chunk's packed
     records become five numpy columns in one ``frombuffer`` call (no
-    per-event Python objects), and the offline analysis engine slices
-    synchronization-free runs straight out of them for
-    ``check_block``.  ``names`` is the chunk's sync-name table;
+    per-event Python objects), and the offline analysis engine
+    race-checks its shared accesses straight from them.  ``names`` is
+    the chunk's sync-name table;
     ``name_idx`` holds :data:`_NO_NAME` for non-sync events.
     """
 

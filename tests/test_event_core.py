@@ -12,21 +12,25 @@ Four groups, matching the hot-path refactor's guarantees:
 3. **Verdict invariance** — the fused dispatch + same-epoch-filter hot
    path raises a race exception iff the pre-refactor reference stack
    (``fused=False``, filter off) does, with identical provenance.
-4. **Offline analysis equivalence** — scalar, ``check_block`` batch and
-   sharded-parallel trace analysis agree on every verdict, racing pair
-   and ``clean.*`` counter total, and race-free replays are counter-exact
-   against the live run that recorded them.
+4. **Offline analysis equivalence** — scalar and windowed batch trace
+   analysis agree on every verdict, race payload and ``clean.*``
+   counter total, at any window size and across clock rollovers, and
+   race-free replays are counter-exact against the live run that
+   recorded them.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.analysis
 from repro.analysis import analyze_trace
 from repro.clean import CleanMonitor, clean_stack
 from repro.core import CleanDetector
+from repro.core.epoch import EpochLayout
 from repro.core.events import stable_sync_id
 from repro.determinism.counters import PreciseCounter
+from repro.experiments.traces import record_trace
 from repro.hardware import SimConfig, simulate_trace
 from repro.obs import MetricsRegistry
 from repro.runtime import (
@@ -42,6 +46,7 @@ from repro.runtime import (
     TraceRecorder,
     open_trace,
 )
+from repro.workloads import get_benchmark
 from repro.workloads.randprog import make_random_program
 
 MAX_THREADS = 8
@@ -323,7 +328,7 @@ class TestVerdictInvariance:
 
 
 # ---------------------------------------------------------------------------
-# 4. Offline analysis equivalence (scalar / batch / sharded)
+# 4. Offline analysis equivalence (scalar / batch)
 # ---------------------------------------------------------------------------
 
 
@@ -362,6 +367,7 @@ RACE_KEYS = (
     "accessing_tid",
     "prior_writer_tid",
     "prior_writer_clock",
+    "position",
 )
 
 
@@ -373,9 +379,9 @@ def assert_same_race(left, right):
 
 
 class TestAnalysisEquivalence:
-    """``check_block`` and the sharded runner are drop-in equivalents of
-    the scalar path: same verdict, same racing pair, same ``clean.*``
-    counter totals on every trace."""
+    """The windowed batch kernel is a drop-in equivalent of the scalar
+    path: same verdict, same race payload, same ``clean.*`` counter
+    totals on every trace."""
 
     @settings(max_examples=25, deadline=None)
     @given(pseed=program_seeds, sseed=schedule_seeds, prob=race_probs)
@@ -417,35 +423,67 @@ class TestAnalysisEquivalence:
             assert not report.racy
             assert report.counters == clean_counters(clean), mode
 
-    def test_sharded_equals_scalar_on_racy_trace(self, tmp_path):
-        # Seeds chosen so the recorded interleaving contains a race.
-        program, _plan = make_random_program(
-            0, n_threads=3, ops_per_thread=10, race_probability=0.9
-        )
-        path = tmp_path / "racy.trace"
-        record_only(program, 0).save(path)
-        scalar = analyze_trace(path, mode="scalar")
-        assert scalar.racy
-        sharded = analyze_trace(path, mode="sharded", shards=3, workers=2)
-        assert sharded.racy
-        assert_same_race(scalar.race, sharded.race)
-        assert scalar.race["position"] == sharded.race["position"]
-        assert scalar.counters == sharded.counters
-        assert sharded.shards == 3
-        assert len(sharded.shard_stats) == 3
+    @pytest.mark.parametrize("window", [1, 2**30])
+    def test_window_size_does_not_change_the_payload(self, monkeypatch, window):
+        # One window per segment and one window for the whole trace bound
+        # every carry and race-stop case between them.
+        monkeypatch.setattr(repro.analysis, "WINDOW", window)
+        verdicts = set()
+        for seed in range(8):
+            for prob in (0.0, 0.9):
+                program, _plan = make_random_program(
+                    seed, n_threads=3, ops_per_thread=12, race_probability=prob
+                )
+                trace = record_only(program, seed)
+                scalar = analyze_trace(trace, mode="scalar", hot_sites=4)
+                batch = analyze_trace(trace, mode="batch", hot_sites=4)
+                expected = dict(scalar.to_payload(), mode="batch")
+                assert batch.to_payload() == expected, (seed, prob)
+                verdicts.add(scalar.racy)
+        assert verdicts == {False, True}
 
-    def test_sharded_equals_scalar_on_race_free_trace(self, tmp_path):
+    def test_hot_sites_match_a_per_address_tally(self):
         program, _plan = make_random_program(
-            1, n_threads=3, ops_per_thread=12, race_probability=0.0
+            3, n_threads=3, ops_per_thread=20, race_probability=0.5
         )
-        path = tmp_path / "clean.trace"
-        record_only(program, 1).save(path)
-        scalar = analyze_trace(path, mode="scalar")
-        assert not scalar.racy
-        sharded = analyze_trace(path, mode="sharded", shards=3, workers=2)
-        assert not sharded.racy
-        assert sharded.race is None
-        assert scalar.counters == sharded.counters
+        trace = record_only(program, 3)
+        tally = {}  # address -> [reads, writes, tids]
+        for tid, events in trace.per_thread.items():
+            for e in events:
+                if e.kind != SYNC and not e.private:
+                    entry = tally.setdefault(e.address, [0, 0, set()])
+                    entry[e.kind == WRITE] += 1
+                    entry[2].add(tid)
+        report = analyze_trace(trace, mode="batch", hot_sites=5)
+        race_addr = report.race["address"] if report.racy else None
+        ranked = sorted(tally, key=lambda a: (-tally[a][0] - tally[a][1], a))
+        assert report.hot_sites == [
+            {
+                "address": a,
+                "accesses": tally[a][0] + tally[a][1],
+                "reads": tally[a][0],
+                "writes": tally[a][1],
+                "threads": len(tally[a][2]),
+                "racy": a == race_addr,
+            }
+            for a in ranked[:5]
+        ]
+
+    @pytest.mark.parametrize(
+        "name,racy",
+        [("barnes", False), ("facesim", False), ("fmm", True),
+         ("water_nsquared", True)],
+    )
+    def test_lanes_agree_across_clock_rollovers(self, name, racy):
+        # 4-bit clocks roll over every few dozen syncs: windows must close
+        # before every metadata reset.
+        layout = EpochLayout(clock_bits=4, tid_bits=8, reserve_expanded_bit=False)
+        trace = record_trace(get_benchmark(name), scale="simsmall", racy=racy)
+        scalar = analyze_trace(trace, mode="scalar", layout=layout)
+        batch = analyze_trace(trace, mode="batch", layout=layout)
+        assert batch.to_payload() == dict(scalar.to_payload(), mode="batch")
+        if not racy:
+            assert scalar.counters["clean.rollovers"] > 0
 
     def test_legacy_traces_are_rejected(self):
         # Pre-batch recorders left the SYNC address field zero; without

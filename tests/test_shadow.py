@@ -1,10 +1,11 @@
 """Unit tests for the epoch shadow-memory stores."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.shadow import DenseShadow, SparseShadow
+from repro.core.shadow import DenseShadow, FlatShadow, SparseShadow
 
 
 @pytest.fixture(params=["sparse", "dense"])
@@ -88,6 +89,18 @@ class TestDenseBounds:
         shadow = DenseShadow(base=0x4000, size=32)
         shadow.store(0x4010, 77)
         assert shadow.load(0x4010) == 77
+
+
+def test_flat_scatter_takes_one_epoch_per_address():
+    # Addresses on both sides of the flat window: array and spill dict.
+    shadow = FlatShadow(capacity=4, window=16)
+    addresses = np.array([3, 15, 16, 40])
+    shadow.scatter(addresses, np.array([5, 6, 7, 8]))
+    assert [shadow.peek(a) for a in (3, 15, 16, 40)] == [5, 6, 7, 8]
+    assert shadow.gather(addresses).tolist() == [5, 6, 7, 8]
+    shadow.scatter(addresses, 9)
+    assert shadow.gather(addresses).tolist() == [9, 9, 9, 9]
+    assert shadow.stores == shadow.loads == 0  # the batch surface is uncounted
 
 
 @given(
