@@ -343,28 +343,45 @@ class CleanDetector(DetectorBackend):
     def _check_access(self, tid: int, address: int, size: int, is_read: bool) -> None:
         if size < 1:
             raise ValueError("access size must be positive")
-        thread = self._thread(tid)
-        new_epoch = thread.vc.element(tid)
-
-        epochs = self.shadow.load_range(address, size)
-        if size > 1:
-            self.stats.multibyte_accesses += 1
-
-        if self.vectorized and size > 1 and epochs.count(epochs[0]) == size:
-            # Fast path (Section 4.4): all bytes share one epoch, so the
-            # race outcome is identical for every byte — one comparison,
-            # and (for writes) one wide update.
-            self.stats.multibyte_uniform_epoch += 1
-            self._compare(epochs[0], thread, address, size, is_read)
-            if not is_read and epochs[0] != new_epoch:
-                self._update_wide(address, size, epochs[0], new_epoch, thread)
-            return
-
-        if size > 1 and epochs.count(epochs[0]) == size:
+        thread = self._threads.get(tid)
+        if thread is None:
+            thread = self._thread(tid)
+        stats = self.stats
+        if size == 1:
+            epoch = self.shadow.load(address)
+        else:
+            epochs = self.shadow.load_range(address, size)
+            stats.multibyte_accesses += 1
+            epoch = epochs[0]
+            if epochs.count(epoch) != size:
+                self._check_bytes(thread, address, epochs, is_read)
+                return
             # Record uniformity even when vectorization is off, so the
             # Figure-8 "without vectorization" run still measures it.
-            self.stats.multibyte_uniform_epoch += 1
+            stats.multibyte_uniform_epoch += 1
+            if not self.vectorized:
+                self._check_bytes(thread, address, epochs, is_read)
+                return
+        # One epoch covers every byte (a single byte, or the Section-4.4
+        # fast path): one Figure-2 comparison, inlined, and for writes
+        # one (wide) update.
+        stats.epoch_comparisons += 1
+        layout = self.layout
+        writer_clock = epoch & layout.clock_max
+        writer_tid = (epoch >> layout.clock_bits) & layout.max_tid
+        elems = thread.vc._elems
+        if writer_clock > elems[writer_tid] & layout.clock_max:
+            stats.races_raised += 1
+            exc = RawRaceException if is_read else WawRaceException
+            raise exc(address, tid, writer_tid, writer_clock, size)
+        if not is_read and epoch != elems[tid]:
+            self._update_wide(address, size, epoch, elems[tid], thread)
 
+    def _check_bytes(
+        self, thread: ThreadState, address: int, epochs: List[int], is_read: bool
+    ) -> None:
+        """Per-byte Figure-2 loop for a multi-byte access."""
+        new_epoch = thread.vc.element(thread.tid)
         for i, epoch in enumerate(epochs):
             self._compare(epoch, thread, address + i, 1, is_read)
             if not is_read and epoch != new_epoch:

@@ -21,6 +21,7 @@ an 8-bit tid and the 1 reserved hardware bit.  The evaluation also uses a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 __all__ = [
     "EpochLayout",
@@ -51,11 +52,27 @@ class EpochLayout:
     tid_bits: int = 8
     reserve_expanded_bit: bool = True
 
+    #: Largest representable clock value.
+    clock_max: ClassVar[int]
+    #: Largest representable thread id.
+    max_tid: ClassVar[int]
+    #: Bit mask of the hardware expanded bit (0 if not reserved).
+    expanded_mask: ClassVar[int]
+
     def __post_init__(self) -> None:
         if self.clock_bits < 1:
             raise ValueError("clock_bits must be positive")
         if self.tid_bits < 1:
             raise ValueError("tid_bits must be positive")
+        # Derived masks, computed once: every check reads them.  They
+        # are plain attributes, not fields, so equality and hashing stay
+        # over the three parameters.
+        expanded = 1 << (self.clock_bits + self.tid_bits)
+        object.__setattr__(self, "clock_max", (1 << self.clock_bits) - 1)
+        object.__setattr__(self, "max_tid", (1 << self.tid_bits) - 1)
+        object.__setattr__(
+            self, "expanded_mask", expanded if self.reserve_expanded_bit else 0
+        )
 
     @property
     def width_bits(self) -> int:
@@ -66,23 +83,6 @@ class EpochLayout:
     def width_bytes(self) -> int:
         """Width of the epoch word rounded up to whole bytes."""
         return (self.width_bits + 7) // 8
-
-    @property
-    def clock_max(self) -> int:
-        """Largest representable clock value."""
-        return (1 << self.clock_bits) - 1
-
-    @property
-    def max_tid(self) -> int:
-        """Largest representable thread id."""
-        return (1 << self.tid_bits) - 1
-
-    @property
-    def expanded_mask(self) -> int:
-        """Bit mask of the hardware expanded bit (0 if not reserved)."""
-        if not self.reserve_expanded_bit:
-            return 0
-        return 1 << (self.clock_bits + self.tid_bits)
 
     # -- packing ---------------------------------------------------------
 

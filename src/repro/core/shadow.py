@@ -137,9 +137,15 @@ class FlatShadow:
 
     Reset stays O(1)-style: a fresh zero array is calloc-backed (pages
     materialize lazily), mirroring the paper's zero-page remap.
+
+    The scalar surface reads and writes through a :class:`memoryview`
+    of the array (plain ints, no numpy boxing); the view is rebound
+    whenever the array is replaced, so both surfaces share one buffer.
     """
 
-    __slots__ = ("_epochs", "_window", "_spill", "resets", "stores", "loads")
+    __slots__ = (
+        "_epochs", "_view", "_window", "_spill", "resets", "stores", "loads"
+    )
 
     #: Addresses below this live in the flat array; beyond it, the spill
     #: dict (64 MiB of epoch words for 16 MiB of data bytes).
@@ -149,7 +155,7 @@ class FlatShadow:
         if capacity <= 0:
             raise ValueError("initial capacity must be positive")
         self._window = window
-        self._epochs = np.zeros(min(capacity, window), dtype=np.uint32)
+        self._set_array(np.zeros(min(capacity, window), dtype=np.uint32))
         self._spill: Dict[int, int] = {}
         self.resets = 0
         self.stores = 0
@@ -167,7 +173,11 @@ class FlatShadow:
         capacity = min(capacity, self._window)
         grown = np.zeros(capacity, dtype=np.uint32)
         grown[: len(self._epochs)] = self._epochs
-        self._epochs = grown
+        self._set_array(grown)
+
+    def _set_array(self, epochs: "np.ndarray") -> None:
+        self._epochs = epochs
+        self._view = memoryview(epochs)
 
     def _in_window(self, address: int) -> bool:
         return 0 <= address < self._window
@@ -182,41 +192,45 @@ class FlatShadow:
         self.stores += 1
         if self._in_window(address):
             self._ensure(address + 1)
-            self._epochs[address] = epoch
+            self._view[address] = epoch
         else:
             self._spill[address] = epoch
 
     def compare_and_swap(self, address: int, expected: int, new: int) -> bool:
+        view = self._view
+        if 0 <= address < len(view):
+            if view[address] != expected:
+                return False
+            self.stores += 1
+            view[address] = new
+            return True
         if self.peek(address) != expected:
             return False
-        self.stores += 1
-        if self._in_window(address):
-            self._ensure(address + 1)
-            self._epochs[address] = new
-        else:
-            self._spill[address] = new
+        self.store(address, new)
         return True
 
     def load_range(self, address: int, size: int) -> List[int]:
         self.loads += size
-        if self._in_window(address) and self._in_window(address + size - 1):
-            self._ensure(address + size)
-            return [int(e) for e in self._epochs[address : address + size]]
+        end = address + size
+        if 0 <= address and end <= self._window:
+            if end > len(self._view):
+                self._ensure(end)
+            return self._view[address:end].tolist()
         return [self.peek(address + i) for i in range(size)]
 
     def peek(self, address: int) -> int:
         """Uncounted epoch inspection (see :meth:`SparseShadow.peek`)."""
+        if 0 <= address < len(self._view):
+            return self._view[address]
         if self._in_window(address):
-            if address < len(self._epochs):
-                return int(self._epochs[address])
             return 0
         return self._spill.get(address, 0)
 
     def clear(self, address: int) -> None:
         """Uncounted epoch scrub (see :meth:`SparseShadow.clear`)."""
         if self._in_window(address):
-            if address < len(self._epochs):
-                self._epochs[address] = 0
+            if address < len(self._view):
+                self._view[address] = 0
         else:
             self._spill.pop(address, None)
 
@@ -235,7 +249,7 @@ class FlatShadow:
 
     def reset(self) -> None:
         """O(1)-style global reset (rollover): swap in a zero page."""
-        self._epochs = np.zeros(len(self._epochs), dtype=np.uint32)
+        self._set_array(np.zeros(len(self._epochs), dtype=np.uint32))
         self._spill = {}
         self.resets += 1
 

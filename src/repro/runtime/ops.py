@@ -58,10 +58,8 @@ class Op:
         """Deterministic-counter / instruction-count contribution."""
         return 1
 
-    @property
-    def is_sync(self) -> bool:
-        """Whether this operation is a synchronization point (Kendo-gated)."""
-        return False
+    #: Whether this operation is a synchronization point (Kendo-gated).
+    is_sync = False
 
 
 @dataclass(frozen=True)
@@ -118,9 +116,7 @@ class Acquire(Op):
 
     lock: Any
 
-    @property
-    def is_sync(self) -> bool:
-        return True
+    is_sync = True
 
 
 @dataclass(frozen=True)
@@ -129,9 +125,7 @@ class Release(Op):
 
     lock: Any
 
-    @property
-    def is_sync(self) -> bool:
-        return True
+    is_sync = True
 
 
 @dataclass(frozen=True)
@@ -140,9 +134,7 @@ class BarrierWait(Op):
 
     barrier: Any
 
-    @property
-    def is_sync(self) -> bool:
-        return True
+    is_sync = True
 
 
 @dataclass(frozen=True)
@@ -152,9 +144,7 @@ class CondWait(Op):
     cond: Any
     lock: Any
 
-    @property
-    def is_sync(self) -> bool:
-        return True
+    is_sync = True
 
 
 @dataclass(frozen=True)
@@ -163,9 +153,7 @@ class CondSignal(Op):
 
     cond: Any
 
-    @property
-    def is_sync(self) -> bool:
-        return True
+    is_sync = True
 
 
 @dataclass(frozen=True)
@@ -174,9 +162,7 @@ class CondBroadcast(Op):
 
     cond: Any
 
-    @property
-    def is_sync(self) -> bool:
-        return True
+    is_sync = True
 
 
 @dataclass(frozen=True)
@@ -185,9 +171,7 @@ class SemWait(Op):
 
     sem: Any
 
-    @property
-    def is_sync(self) -> bool:
-        return True
+    is_sync = True
 
 
 @dataclass(frozen=True)
@@ -196,9 +180,7 @@ class SemPost(Op):
 
     sem: Any
 
-    @property
-    def is_sync(self) -> bool:
-        return True
+    is_sync = True
 
 
 @dataclass(frozen=True)
@@ -208,9 +190,7 @@ class Spawn(Op):
     fn: Callable[..., Any]
     args: Tuple[Any, ...] = field(default_factory=tuple)
 
-    @property
-    def is_sync(self) -> bool:
-        return True
+    is_sync = True
 
 
 @dataclass(frozen=True)
@@ -219,9 +199,7 @@ class Join(Op):
 
     tid: int
 
-    @property
-    def is_sync(self) -> bool:
-        return True
+    is_sync = True
 
 
 @dataclass(frozen=True)

@@ -26,15 +26,26 @@ Blocking semantics (locks, barriers, condition variables, semaphores,
 join) are implemented here: an operation that cannot complete *parks* its
 thread, and the thread becomes schedulable again once the operation is
 feasible.  Synchronization operations are additionally *gated*: a monitor
-may veto them via :meth:`ExecutionMonitor.may_sync` until it is the
-thread's deterministic turn (Kendo, Section 2.4/3.3).  When every thread
-is stalled and at least one is merely gate-blocked, the scheduler runs
-the Kendo *pump*: it advances the deterministic counter of the
-minimum-turn thread whose operation is infeasible, exactly like Kendo's
-spin-with-increment, until some thread can proceed.  Because pumping only
-happens when nothing else can run and each bump is a pure function of the
-counter state, the committed synchronization order is independent of the
-scheduling policy — the property the determinism tests verify.
+may name, via :meth:`ExecutionMonitor.sync_turn`, the one thread whose
+deterministic turn it is (Kendo, Section 2.4/3.3); other threads' sync
+operations wait.  When every thread is stalled and at least one is merely
+gate-blocked, the scheduler runs the Kendo *pump*: it advances the
+deterministic counter of the minimum-turn thread whose operation is
+infeasible, exactly like Kendo's spin-with-increment, until some thread
+can proceed.  Because pumping only happens when nothing else can run and
+each bump is a pure function of the counter state, the committed
+synchronization order is independent of the scheduling policy — the
+property the determinism tests verify.
+
+The ready set (the sorted candidates handed to the policy) is cached
+across steps and rebuilt, asking the gates for the turn once, only after
+a step that can change it: a sync commit (which covers thread start and
+every parked sync op completing), a thread parking or finishing, the
+pump, a recovery action, or a step by the turn holder while a parked,
+feasible sync operation waits for the turn.  Memory, compute and output
+steps touch no sync object and cannot move another thread's turn, so
+the common step reuses the cached set (``docs/runtime_semantics.md`` §3
+has the argument).  The reference dispatch rescans every step.
 """
 
 from __future__ import annotations
@@ -217,9 +228,21 @@ class ExecutionMonitor:
     def on_compute(self, tid: int, amount: int) -> None:
         """``tid`` executed ``amount`` non-memory instructions."""
 
-    def may_sync(self, tid: int, op: Op) -> bool:
-        """Gate: may ``tid`` commit synchronization operation ``op`` now?"""
-        return True
+    def sync_turn(self) -> Optional[int]:
+        """Gate: the one tid that may commit a synchronization op now.
+
+        ``None`` (the default) leaves synchronization ungated.  A sync
+        op of any other thread waits, parked, until the turn is its
+        own.  The scheduler asks once per ready-set rebuild and once per
+        freshly yielded sync op, so the turn may change only through a
+        step of its holder or a step that rebuilds the ready set anyway
+        (a sync commit, a park, a thread exit, the pump, recovery).
+        """
+        return None
+
+    def on_sync_wait(self, tid: int, op: Op) -> None:
+        """``tid``'s feasible sync ``op`` must wait for another thread's
+        turn.  Reported at least once per waiting op, possibly more."""
 
     def on_sync_commit(self, tid: int, op: Op) -> None:
         """A synchronization operation committed (rollover hook point)."""
@@ -227,9 +250,9 @@ class ExecutionMonitor:
     def on_access_block(self, tid: int, events: Sequence[AccessEvent]) -> None:
         """A run of ``tid``'s accesses, delivered as one in-order block.
 
-        The batch lane: streaming replay and the offline analysis engine
-        hand whole synchronization-free runs here instead of one event
-        at a time.  Semantically equivalent to calling
+        The batch entry for drivers that hold whole synchronization-free
+        runs (live execution dispatches per event).  Semantically
+        equivalent to calling
         :meth:`before_access` / :meth:`after_access` for every event in
         order — the default does exactly that, so every monitor is
         batch-correct for free; batch-aware monitors override it.
@@ -253,7 +276,8 @@ class SchedulingPolicy:
     """Chooses which schedulable thread performs the next step."""
 
     def pick(self, candidates: Sequence[int], step: int) -> int:
-        """Return one tid from ``candidates`` (non-empty, sorted)."""
+        """Return one tid from ``candidates`` (non-empty, sorted; the
+        scheduler reuses the list across steps, so never mutate it)."""
         raise NotImplementedError
 
 
@@ -363,7 +387,8 @@ _CHAINED_HOOKS = (
     "on_sem_wait",
     "on_spawn",
     "on_compute",
-    "may_sync",
+    "sync_turn",
+    "on_sync_wait",
     "on_sync_commit",
     "on_rollback",
 )
@@ -426,6 +451,10 @@ class Scheduler:
         self._shared_reads = 0
         self._shared_writes = 0
         self._ctx = _Context(self)
+        # The cached ready set (None = rebuild before the next pick) and
+        # the turn holder whose steps invalidate it (see _step).
+        self._ready: Optional[List[int]] = None
+        self._turn_watch: Tuple[int, ...] = ()
         for monitor in self.monitors:
             monitor.attach(self)
         self._compile_dispatch()
@@ -473,7 +502,8 @@ class Scheduler:
         self._c_sem_wait = c["on_sem_wait"]
         self._c_spawn = c["on_spawn"]
         self._c_compute = c["on_compute"]
-        self._c_may_sync = c["may_sync"]
+        self._c_sync_turn = c["sync_turn"]
+        self._c_sync_wait = c["on_sync_wait"]
         self._c_sync_commit = c["on_sync_commit"]
         self._c_rollback = c["on_rollback"]
 
@@ -514,18 +544,6 @@ class Scheduler:
         self._c_write_before = memory_chain("before_write")
         self._c_write_after = memory_chain("after_write")
 
-        # The batch lane: monitors consuming whole access runs.  Event-
-        # style monitors ride along through the base class's default
-        # (which loops their per-event hooks), so block dispatch is
-        # semantically the per-event dispatch.
-        self._c_access_block = tuple(
-            m.on_access_block
-            for m in monitors
-            if _overrides(m, "on_access_block")
-            or _overrides(m, "before_access")
-            or _overrides(m, "after_access")
-        )
-
         handlers = dict(self._HANDLERS)
         if self.recovery is not None:
             handlers[Read] = Scheduler._do_read_buffered
@@ -539,18 +557,9 @@ class Scheduler:
             # paths (per-thread sort + call-per-candidate feasibility,
             # isinstance-chain op classification), so benchmarks compare
             # against the hot path as it actually was, end to end.
-            self._schedulable = self._schedulable_legacy
+            self._scan = self._scan_legacy
             self._feasible = self._feasible_legacy
         self._handlers = handlers
-
-    def dispatch_access_block(
-        self, tid: int, events: Sequence[AccessEvent]
-    ) -> None:
-        """Deliver one thread's in-order access run to every interested
-        monitor through the compiled batch lane (replay drivers only —
-        live execution dispatches per event)."""
-        for fn in self._c_access_block:
-            fn(tid, events)
 
     # -- public API -----------------------------------------------------------
 
@@ -580,6 +589,8 @@ class Scheduler:
                         try:
                             self._step()
                         except RaceException as exc:
+                            # Recovery rewinds or retires the thread.
+                            self._ready = None
                             if not recovery.handle(exc):
                                 raise
                 else:
@@ -587,6 +598,7 @@ class Scheduler:
                         self._step()
             else:
                 while self._live_tids():
+                    self._ready = None  # the reference rescans every step
                     self._step()
         except RaceException as exc:
             race = exc
@@ -636,14 +648,16 @@ class Scheduler:
     def _step(self) -> None:
         if self._steps >= self.max_steps:
             raise RuntimeError(f"exceeded step budget of {self.max_steps}")
-        candidates = self._schedulable()
-        if not candidates:
-            self._pump()
-            candidates = self._schedulable()
+        candidates = self._ready
+        if candidates is None:
+            candidates = self._rebuild()
             if not candidates:
-                raise DeadlockError(
-                    {t: r.blocked_reason for t, r in self._threads.items()}
-                )
+                self._pump()
+                candidates = self._rebuild()
+                if not candidates:
+                    raise DeadlockError(
+                        {t: r.blocked_reason for t, r in self._threads.items()}
+                    )
         tid = self.policy.pick(candidates, self._steps)
         self._steps += 1
         record = self._threads[tid]
@@ -651,49 +665,74 @@ class Scheduler:
             self._complete(record, record.pending)
         else:
             self._advance_generator(record)
+        if tid in self._turn_watch:
+            # A turn holder moved its counter while a feasible sync op
+            # waits for the turn: the turn may have passed to it.
+            self._ready = None
 
-    def _schedulable(self) -> List[int]:
-        # Runs once per step: inline the feasibility/gate checks for
-        # parked operations rather than paying a call per thread.
+    def _rebuild(self) -> List[int]:
+        self._ready, self._turn_watch = self._scan()
+        return self._ready
+
+    def _scan(self) -> Tuple[List[int], Tuple[int, ...]]:
+        """Full rescan: the sorted schedulable tids, and the turn holders
+        a parked, feasible sync op waits on (empty when none waits)."""
+        turn = self._sync_turn()
+        watch: Tuple[int, ...] = ()
         ready = []
         runnable = ThreadStatus.RUNNABLE
+        feasibility = self._FEASIBILITY
         for tid, record in self._threads.items():
             if record.status is runnable:
                 ready.append(tid)
+                continue
+            op = record.pending
+            if op is None:
+                continue
+            checker = feasibility.get(type(op))
+            if checker is not None and not checker(self, op):
+                continue
+            if op.is_sync and self._must_wait(tid, op, turn):
+                watch = turn
             else:
-                op = record.pending
-                if (
-                    op is not None
-                    and self._feasible(record, op)
-                    and (not op.is_sync or self._gate_open(tid, op))
-                ):
-                    ready.append(tid)
+                ready.append(tid)
         ready.sort()
-        return ready
+        return ready, watch
 
-    def _schedulable_legacy(self) -> List[int]:
+    def _scan_legacy(self) -> Tuple[List[int], Tuple[int, ...]]:
         ready = []
         for tid in sorted(self._threads):
             record = self._threads[tid]
             if record.status is ThreadStatus.RUNNABLE:
                 ready.append(tid)
-            elif record.pending is not None and self._can_complete(record):
+            elif record.pending is not None and self._can_complete(
+                record, record.pending
+            ):
                 ready.append(tid)
-        return ready
+        return ready, ()
 
-    def _can_complete(self, record: _ThreadRecord) -> bool:
-        op = record.pending
-        assert op is not None
+    def _can_complete(self, record: _ThreadRecord, op: Op) -> bool:
         if not self._feasible(record, op):
             return False
-        if op.is_sync and not self._gate_open(record.tid, op):
-            return False
-        return True
+        return not (op.is_sync and self._must_wait(record.tid, op, self._sync_turn()))
 
-    def _gate_open(self, tid: int, op: Op) -> bool:
-        for gate in self._c_may_sync:
-            if not gate(tid, op):
-                return False
+    def _sync_turn(self) -> Tuple[int, ...]:
+        """The distinct tids the gates name as turn holders (empty when
+        no gate restricts sync)."""
+        turn: Tuple[int, ...] = ()
+        for gate in self._c_sync_turn:
+            holder = gate()
+            if holder is not None and holder not in turn:
+                turn += (holder,)
+        return turn
+
+    def _must_wait(self, tid: int, op: Op, turn: Tuple[int, ...]) -> bool:
+        """Whether ``tid``'s sync ``op`` waits for the turn (it may commit
+        only as the sole holder); tells the gates when it does."""
+        if not turn or turn == (tid,):
+            return False
+        for hook in self._c_sync_wait:
+            hook(tid, op)
         return True
 
     def _pump(self) -> None:
@@ -772,19 +811,14 @@ class Scheduler:
             raise TypeError(
                 f"thread {record.tid} yielded {op!r}; expected an Op instance"
             )
-        if self._can_complete_fresh(record, op):
+        # Non-sync ops (memory, compute, output) always complete.
+        if not op.is_sync or self._can_complete(record, op):
             self._complete(record, op)
         else:
             self._park(record, op)
 
-    def _can_complete_fresh(self, record: _ThreadRecord, op: Op) -> bool:
-        if not self._feasible(record, op):
-            return False
-        if op.is_sync and not self._gate_open(record.tid, op):
-            return False
-        return True
-
     def _park(self, record: _ThreadRecord, op: Op) -> None:
+        self._ready = None
         record.pending = op
         record.status = ThreadStatus.BLOCKED
         record.blocked_reason = _describe_block(op)
@@ -808,6 +842,9 @@ class Scheduler:
         record.det_counter += self.counter_cost(op)
 
     def _commit_sync(self, record: _ThreadRecord, op: Op, target: str) -> None:
+        # A commit can change any parked op's feasibility (and Spawn
+        # starts a thread): the ready set is stale.
+        self._ready = None
         if self.recovery is not None:
             # The SFR is closing: its buffered writes become visible now,
             # which is exactly the paper's write-atomicity.
@@ -1229,6 +1266,7 @@ class Scheduler:
     def _finish_thread(self, record: _ThreadRecord, result: Any) -> None:
         if self.recovery is not None:
             self.recovery.finish(record.tid)
+        self._ready = None
         record.result = result
         record.status = ThreadStatus.DONE
         for hook in self._c_thread_exit:

@@ -107,7 +107,7 @@ class TestKendoEdges:
     def test_gate_before_attach_fails_loudly(self):
         gate = KendoGate()
         with pytest.raises(AssertionError):
-            gate.may_sync(0, None)
+            gate.sync_turn()
 
     def test_single_thread_always_has_turn(self):
         def main(ctx):

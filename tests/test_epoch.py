@@ -1,5 +1,8 @@
 """Unit tests for the epoch bit layouts."""
 
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -43,6 +46,21 @@ class TestLayoutGeometry:
             EpochLayout(clock_bits=0)
         with pytest.raises(ValueError):
             EpochLayout(tid_bits=0)
+
+    def test_derived_masks_are_not_fields(self):
+        # The masks are computed once per layout; equality, hashing,
+        # replace() and pickling still go by the three parameters.
+        layout = EpochLayout(clock_bits=4, tid_bits=8, reserve_expanded_bit=False)
+        assert layout == EpochLayout(4, 8, False)
+        assert hash(layout) == hash(EpochLayout(4, 8, False))
+        assert [f.name for f in dataclasses.fields(layout)] == [
+            "clock_bits", "tid_bits", "reserve_expanded_bit",
+        ]
+        wider = dataclasses.replace(layout, clock_bits=5, reserve_expanded_bit=True)
+        masks = (wider.clock_max, wider.max_tid, wider.expanded_mask)
+        assert masks == (31, 255, 1 << 13)
+        copy = pickle.loads(pickle.dumps(layout))
+        assert (copy.clock_max, copy.expanded_mask) == (15, 0)
 
 
 class TestPacking:

@@ -11,7 +11,9 @@ Four groups, matching the hot-path refactor's guarantees:
    the in-memory one.
 3. **Verdict invariance** — the fused dispatch + same-epoch-filter hot
    path raises a race exception iff the pre-refactor reference stack
-   (``fused=False``, filter off) does, with identical provenance.
+   (``fused=False``, filter off) does, with identical provenance; on
+   the 26 suite models the fused live lane equals the reference field
+   by field.
 4. **Offline analysis equivalence** — scalar and windowed batch trace
    analysis agree on every verdict, race payload and ``clean.*``
    counter total, at any window size and across clock rollovers, and
@@ -47,7 +49,9 @@ from repro.runtime import (
     open_trace,
 )
 from repro.workloads import get_benchmark
+from repro.workloads.kernels import build_program
 from repro.workloads.randprog import make_random_program
+from repro.workloads.suite import ALL_BENCHMARKS
 
 MAX_THREADS = 8
 
@@ -325,6 +329,51 @@ class TestVerdictInvariance:
             fastpath=True,
         )
         assert not monitor.fastpath_enabled
+
+
+SUITE_VARIANTS = [
+    (spec.name, racy)
+    for spec in ALL_BENCHMARKS
+    for racy in (True, False)
+    if (spec.racy if racy else spec.style != "lock_free")
+]
+
+
+class TestSuiteLiveLanes:
+    """The fused live lane (cached ready set, inlined epoch check) equals
+    the reference dispatch on every suite model, racy and race-free:
+    same outcome, schedule, sync log, counters and race."""
+
+    @pytest.mark.parametrize(
+        "name,racy", SUITE_VARIANTS,
+        ids=[f"{n}-{'racy' if r else 'clean'}" for n, r in SUITE_VARIANTS],
+    )
+    def test_fused_equals_reference(self, name, racy):
+        spec = get_benchmark(name)
+        for seed in range(3):
+            lanes = []
+            for fused in (True, False):
+                monitors, clean, _gate = clean_stack(max_threads=24)
+                result = build_program(spec, scale="test", racy=racy).run(
+                    policy=RandomPolicy(seed),
+                    monitors=monitors,
+                    max_threads=24,
+                    fused=fused,
+                )
+                race = result.race
+                lanes.append((
+                    result.fingerprint(),
+                    result.steps,
+                    result.sync_log,
+                    result.det_counters,
+                    None if race is None else (
+                        race.kind, race.address, race.size,
+                        race.accessing_tid, race.prior_writer_tid,
+                        race.prior_writer_clock,
+                    ),
+                    clean_counters(clean),
+                ))
+            assert lanes[0] == lanes[1], (name, racy, seed)
 
 
 # ---------------------------------------------------------------------------

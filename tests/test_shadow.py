@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from repro.core.shadow import DenseShadow, FlatShadow, SparseShadow
 
 
-@pytest.fixture(params=["sparse", "dense"])
+@pytest.fixture(params=["sparse", "dense", "flat"])
 def shadow(request):
     if request.param == "sparse":
         return SparseShadow()
+    if request.param == "flat":
+        return FlatShadow(capacity=4)  # small, so the tests grow it
     return DenseShadow(base=0, size=4096)
 
 
@@ -101,6 +103,23 @@ def test_flat_scatter_takes_one_epoch_per_address():
     shadow.scatter(addresses, 9)
     assert shadow.gather(addresses).tolist() == [9, 9, 9, 9]
     assert shadow.stores == shadow.loads == 0  # the batch surface is uncounted
+
+
+def test_flat_scalar_and_batch_surfaces_share_one_buffer():
+    # The scalar surface works through a view of the epoch array; growth
+    # and reset replace the array, and the view must follow it.
+    shadow = FlatShadow(capacity=4, window=64)
+    shadow.store(2, 7)
+    shadow.store(40, 8)  # grows the array
+    assert shadow.gather(np.array([2, 40])).tolist() == [7, 8]
+    shadow.scatter(np.array([3, 41]), 9)
+    assert shadow.load_range(2, 2) == [7, 9]
+    assert shadow.compare_and_swap(41, 9, 10) and shadow.peek(41) == 10
+    shadow.reset()
+    shadow.scatter(np.array([5]), 11)
+    assert (shadow.load(5), shadow.load(40)) == (11, 0)
+    shadow.store(6, 12)
+    assert shadow.gather(np.array([5, 6])).tolist() == [11, 12]
 
 
 @given(
