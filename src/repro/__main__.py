@@ -666,13 +666,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             ),
             registry=registry,
         )
+    # Only an event-free trace runs 0 baseline cycles (and 0 detected).
+    slowdown = det.cycles / base.cycles if base.cycles else 1.0
     registry.set_gauge("sim.baseline_cycles", base.cycles)
-    registry.set_gauge("sim.slowdown", det.cycles / base.cycles)
+    registry.set_gauge("sim.slowdown", slowdown)
     _close_telemetry(exporter, registry)
     print(f"baseline cycles   {base.cycles}")
     print(f"detection cycles  {det.cycles}  "
           f"({args.unit} unit, {args.mode} metadata)")
-    print(f"slowdown          {det.cycles / base.cycles:.3f}x")
+    print(f"slowdown          {slowdown:.3f}x")
     return 0
 
 

@@ -56,13 +56,14 @@ A3_CLOCK_BITS = (3, 4, 5, 6, 8, 12)
 # -- A1: WAR precision in hardware ------------------------------------------
 
 
-def compute_war(benchmark: str, trace) -> Dict[str, object]:
-    """A1 per-benchmark step: cycles for baseline/CLEAN/precise units."""
-    base = simulate_trace(trace, SimConfig(detection=False))
-    clean = simulate_trace(trace, SimConfig(detection=True))
-    precise = simulate_trace(
-        trace, SimConfig(detection=True, check_unit="precise")
-    )
+def compute_war(
+    benchmark: str, trace, simulate=simulate_trace
+) -> Dict[str, object]:
+    """A1 per-benchmark step: cycles for baseline/CLEAN/precise units
+    (``simulate`` as in :func:`repro.experiments.fig9_hardware.compute`)."""
+    base = simulate(trace, SimConfig(detection=False))
+    clean = simulate(trace, SimConfig(detection=True))
+    precise = simulate(trace, SimConfig(detection=True, check_unit="precise"))
     return {
         "benchmark": benchmark,
         "base_cycles": base.cycles,

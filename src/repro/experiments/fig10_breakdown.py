@@ -29,9 +29,10 @@ from .traces import record_trace
 __all__ = ["compute", "aggregate", "run", "main"]
 
 
-def compute(benchmark: str, trace) -> Dict[str, object]:
-    """Both Figure-10 breakdowns of ``benchmark``'s trace, in percent."""
-    sim = simulate_trace(trace, SimConfig(detection=True))
+def compute(benchmark: str, trace, simulate=simulate_trace) -> Dict[str, object]:
+    """Both Figure-10 breakdowns of ``benchmark``'s trace, in percent
+    (``simulate`` as in :func:`repro.experiments.fig9_hardware.compute`)."""
+    sim = simulate(trace, SimConfig(detection=True))
     stats = sim.check_stats
     assert stats is not None
     total = stats.total

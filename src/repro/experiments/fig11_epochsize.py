@@ -37,12 +37,13 @@ __all__ = ["compute", "aggregate", "run", "main", "FIG11_MACHINE"]
 FIG11_MACHINE = dict(l1_size=4 * 1024, l2_size=8 * 1024, l3_size=64 * 1024)
 
 
-def compute(benchmark: str, trace) -> Dict[str, object]:
-    """Normalized time per metadata design for ``benchmark``'s trace."""
-    base = simulate_trace(trace, SimConfig(detection=False, **FIG11_MACHINE))
+def compute(benchmark: str, trace, simulate=simulate_trace) -> Dict[str, object]:
+    """Normalized time per metadata design for ``benchmark``'s trace
+    (``simulate`` as in :func:`repro.experiments.fig9_hardware.compute`)."""
+    base = simulate(trace, SimConfig(detection=False, **FIG11_MACHINE))
     payload: Dict[str, object] = {"benchmark": benchmark}
     for mode in ("clean", "epoch1", "epoch4"):
-        det = simulate_trace(
+        det = simulate(
             trace, SimConfig(detection=True, metadata_mode=mode, **FIG11_MACHINE)
         )
         payload[mode] = det.cycles / base.cycles

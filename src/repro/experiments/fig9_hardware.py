@@ -27,10 +27,14 @@ from .traces import record_trace
 __all__ = ["compute", "aggregate", "run", "main"]
 
 
-def compute(benchmark: str, trace) -> Dict[str, object]:
-    """Baseline and detection cycle counts of ``benchmark``'s trace."""
-    base = simulate_trace(trace, SimConfig(detection=False))
-    det = simulate_trace(trace, SimConfig(detection=True))
+def compute(benchmark: str, trace, simulate=simulate_trace) -> Dict[str, object]:
+    """Baseline and detection cycle counts of ``benchmark``'s trace.
+
+    ``simulate(trace, config)`` runs one simulation; the hw job passes a
+    memoizing one so configurations shared across figures run once.
+    """
+    base = simulate(trace, SimConfig(detection=False))
+    det = simulate(trace, SimConfig(detection=True))
     return {
         "benchmark": benchmark,
         "base_cycles": base.cycles,

@@ -8,7 +8,7 @@ check unit, and the Figure-5 compact/expanded metadata layout (plus the
 """
 
 from .cache import LINE_SIZE, Cache
-from .hierarchy import Latencies, MemoryHierarchy, line_of
+from .hierarchy import Latencies, MemoryHierarchy
 from .metadata import GROUP, MetadataAccess, MetadataLayout
 from .race_unit import AccessClass, CheckOutcome, RaceCheckUnit, RaceUnitStats
 from .simulator import (
@@ -25,7 +25,6 @@ __all__ = [
     "LINE_SIZE",
     "MemoryHierarchy",
     "Latencies",
-    "line_of",
     "MetadataLayout",
     "MetadataAccess",
     "GROUP",

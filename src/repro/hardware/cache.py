@@ -40,28 +40,27 @@ class Cache:
         self.misses = 0
         self.evictions = 0
 
-    def _set_for(self, line: int) -> "OrderedDict[int, str]":
-        return self._sets[(line // self.line_size) % self.n_sets]
+    def lookup(self, line: int) -> Optional[str]:
+        """MESI state of ``line`` if cached (counts hit/miss statistics).
 
-    def lookup(self, line: int, touch: bool = True) -> Optional[str]:
-        """MESI state of ``line`` if cached (counts hit/miss statistics)."""
-        entry = self._set_for(line)
+        :meth:`MemoryHierarchy.access` inlines this for its L1 lookup.
+        """
+        entry = self._sets[(line // self.line_size) % self.n_sets]
         state = entry.get(line)
         if state is None:
             self.misses += 1
             return None
-        if touch:
-            entry.move_to_end(line)
+        entry.move_to_end(line)
         self.hits += 1
         return state
 
     def probe(self, line: int) -> Optional[str]:
         """State of ``line`` without touching LRU or statistics."""
-        return self._set_for(line).get(line)
+        return self._sets[(line // self.line_size) % self.n_sets].get(line)
 
     def insert(self, line: int, state: str) -> Optional[Tuple[int, str]]:
         """Install ``line``; returns the evicted ``(line, state)`` if any."""
-        entry = self._set_for(line)
+        entry = self._sets[(line // self.line_size) % self.n_sets]
         victim: Optional[Tuple[int, str]] = None
         if line not in entry and len(entry) >= self.assoc:
             victim = entry.popitem(last=False)
@@ -72,24 +71,14 @@ class Cache:
 
     def set_state(self, line: int, state: str) -> None:
         """Change the MESI state of a cached line (no LRU effect)."""
-        entry = self._set_for(line)
+        entry = self._sets[(line // self.line_size) % self.n_sets]
         if line in entry:
             entry[line] = state
 
     def invalidate(self, line: int) -> bool:
         """Drop ``line``; returns whether it was present."""
-        entry = self._set_for(line)
+        entry = self._sets[(line // self.line_size) % self.n_sets]
         return entry.pop(line, None) is not None
-
-    @property
-    def accesses(self) -> int:
-        """Total lookups."""
-        return self.hits + self.misses
-
-    @property
-    def miss_rate(self) -> float:
-        """Fraction of lookups that missed."""
-        return self.misses / self.accesses if self.accesses else 0.0
 
     def resident_lines(self) -> Dict[int, str]:
         """All cached lines and their states (for tests)."""

@@ -16,17 +16,12 @@ an invalidation callback.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Set
 
 from .cache import LINE_SIZE, MESI_E, MESI_M, MESI_S, Cache
 
-__all__ = ["Latencies", "MemoryHierarchy", "line_of"]
-
-
-def line_of(address: int) -> int:
-    """Line address (aligned) containing ``address``."""
-    return address - (address % LINE_SIZE)
+__all__ = ["Latencies", "MemoryHierarchy"]
 
 
 @dataclass(frozen=True)
@@ -107,37 +102,44 @@ class MemoryHierarchy:
         maximum would model banked parallelism; sequential is what the
         paper's simple cores would see and keeps the model conservative).
         """
-        first = line_of(address)
-        last = line_of(address + size - 1)
-        latency = 0
-        line = first
-        while line <= last:
-            lo = max(address, line) - line
-            hi = min(address + size, line + LINE_SIZE) - line
-            latency += self._access_line(core, line, is_write, lo, hi)
-            line += LINE_SIZE
-        return latency
+        line = address - address % LINE_SIZE
+        lo = address - line
+        if not 0 < lo + size <= LINE_SIZE:
+            end = address + size
+            latency = 0
+            while line < end:
+                piece = max(address, line)
+                latency += self.access(
+                    core, piece, min(end, line + LINE_SIZE) - piece, is_write
+                )
+                line += LINE_SIZE
+            return latency
+        # One line: the L1 lookup is Cache.lookup inlined (most accesses
+        # hit here).
+        stats = self.stats
+        stats.accesses += 1
+        l1 = self.l1[core]
+        entry = l1._sets[(line // LINE_SIZE) % l1.n_sets]
+        state = entry.get(line)
+        if state is None:
+            l1.misses += 1
+            return self._l1_miss(core, line, is_write, lo, lo + size)
+        entry.move_to_end(line)
+        l1.hits += 1
+        if not is_write:
+            stats.l1_hits += 1
+            return self.lat.l1_hit
+        entry[line] = MESI_M
+        self.l2[core].set_state(line, MESI_M)
+        if state in (MESI_M, MESI_E):
+            stats.l1_hits += 1
+            return self.lat.l1_hit
+        # Write hit in Shared state: upgrade, invalidating other cores.
+        self._invalidate_others(core, line, lo, lo + size)
+        stats.upgrades += 1
+        return self.lat.l2_local
 
     # -- line-level MESI -------------------------------------------------------
-
-    def _access_line(self, core: int, line: int, is_write: bool,
-                     lo: int, hi: int) -> int:
-        self.stats.accesses += 1
-        state = self.l1[core].lookup(line)
-        if state is not None:
-            if not is_write or state in (MESI_M, MESI_E):
-                if is_write:
-                    self.l1[core].set_state(line, MESI_M)
-                    self.l2[core].set_state(line, MESI_M)
-                self.stats.l1_hits += 1
-                return self.lat.l1_hit
-            # Write hit in Shared state: upgrade, invalidating other cores.
-            self._invalidate_others(core, line, lo, hi)
-            self.l1[core].set_state(line, MESI_M)
-            self.l2[core].set_state(line, MESI_M)
-            self.stats.upgrades += 1
-            return self.lat.l2_local
-        return self._l1_miss(core, line, is_write, lo, hi)
 
     def _l1_miss(self, core: int, line: int, is_write: bool,
                  lo: int, hi: int) -> int:

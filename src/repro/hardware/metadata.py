@@ -115,15 +115,15 @@ class MetadataLayout:
 
     def epochs_for(self, address: int, size: int) -> List[int]:
         """Current epoch of every byte of the access (functional view)."""
+        byte_epochs = self._byte_epochs
+        if self.mode != "clean":
+            return [byte_epochs.get(a, 0) for a in range(address, address + size)]
         out = []
         for a in range(address, address + size):
-            data_line = a - (a % LINE_SIZE)
-            if self.mode == "clean" and not self.is_expanded(data_line):
-                out.append(self._group_epochs.get(self.group_of(a), 0))
-            elif self.mode == "clean":
-                out.append(self._byte_epochs.get(a, 0))
+            if a - a % LINE_SIZE in self._expanded_lines:
+                out.append(byte_epochs.get(a, 0))
             else:
-                out.append(self._byte_epochs.get(a, 0))
+                out.append(self._group_epochs.get(a - a % GROUP, 0))
         return out
 
     # -- the check's metadata plan -------------------------------------------------

@@ -26,11 +26,12 @@ comes out of the workload's real sharing structure, not a constant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Set, Tuple
+from typing import Dict, Tuple
 
 from ..core.epoch import DEFAULT_LAYOUT, EpochLayout
 from .hierarchy import MemoryHierarchy
 from .metadata import GROUP, MetadataLayout
+from .race_unit import CheckUnitBase, RaceCheckUnit
 
 __all__ = ["PreciseCheckUnit", "PreciseStats"]
 
@@ -66,12 +67,11 @@ class _ReadMeta:
     vc: Dict[int, int] = field(default_factory=dict)
 
 
-class PreciseCheckUnit:
+class PreciseCheckUnit(CheckUnitBase):
     """Drop-in alternative to :class:`RaceCheckUnit` with WAR precision.
 
-    Exposes the same ``set_thread`` / ``check`` interface so the
-    simulator can host either unit; ``check`` returns the exposed-latency
-    outcome the simulator expects.
+    Exposes the same ``set_thread`` / ``check`` / ``check_cycles``
+    interface so the simulator can host either unit.
     """
 
     def __init__(
@@ -81,8 +81,6 @@ class PreciseCheckUnit:
         layout: EpochLayout = DEFAULT_LAYOUT,
         n_threads: int = 9,
     ) -> None:
-        from .race_unit import RaceCheckUnit
-
         self.hierarchy = hierarchy
         self.n_threads = n_threads
         #: reuse CLEAN's unit for the write-epoch side of the check.
@@ -96,12 +94,6 @@ class PreciseCheckUnit:
         self.stats = PreciseStats()
         self.write_side.reset_stats()
 
-    # -- plumbing -----------------------------------------------------------
-
-    def set_thread(self, core: int, tid: int, clock: int = 0) -> None:
-        self._core_thread[core] = (tid, clock)
-        self.write_side.set_thread(core, tid, clock)
-
     def _read_meta_address(self, group: int) -> int:
         return READ_META_BASE + group
 
@@ -110,20 +102,19 @@ class PreciseCheckUnit:
 
     # -- the check ------------------------------------------------------------
 
-    def check(
-        self, core: int, address: int, size: int, is_write: bool, private: bool
-    ) -> "CheckOutcome":
-        from .race_unit import CheckOutcome
-
+    def check_cycles(
+        self, core: int, tid: int, clock: int, address: int, size: int,
+        is_write: bool, private: bool,
+    ) -> int:
+        """CLEAN's write-epoch check plus the read side; returns the
+        check latency (see :meth:`RaceCheckUnit.check_cycles`)."""
         self.stats.accesses += 1
+        side = self.write_side
+        latency = side.check_cycles(core, tid, clock, address, size, is_write, private)
+        self.last_class, self.last_expanded = side.last_class, side.last_expanded
         if private:
             self.stats.private += 1
-            return self.write_side.check(core, address, size, is_write, True)
-
-        # CLEAN's side: write-epoch load/check/update.
-        outcome = self.write_side.check(core, address, size, is_write, False)
-        latency = outcome.check_latency
-        tid, clock = self._core_thread[core]
+            return latency
 
         first_group = address - (address % GROUP)
         last_group = (address + size - 1) - ((address + size - 1) % GROUP)
@@ -131,7 +122,7 @@ class PreciseCheckUnit:
         while group <= last_group:
             latency += self._read_side(core, group, tid, clock, is_write)
             group += GROUP
-        return CheckOutcome(outcome.access_class, latency, outcome.expanded_line)
+        return latency
 
     def _read_side(
         self, core: int, group: int, tid: int, clock: int, is_write: bool

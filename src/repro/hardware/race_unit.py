@@ -22,11 +22,12 @@ is exposed (Section 5.4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from ..core.epoch import DEFAULT_LAYOUT, EpochLayout
+from .cache import LINE_SIZE
 from .hierarchy import MemoryHierarchy
-from .metadata import MetadataLayout
+from .metadata import EPOCHS_BASE, GROUP, MetadataLayout
 
 __all__ = ["AccessClass", "RaceCheckUnit", "CheckOutcome"]
 
@@ -64,15 +65,6 @@ class RaceUnitStats:
     expanded_accesses: int = 0
     private_accesses: int = 0
 
-    def record(self, outcome: CheckOutcome) -> None:
-        self.by_class[outcome.access_class] += 1
-        if outcome.access_class == AccessClass.PRIVATE:
-            self.private_accesses += 1
-        elif outcome.expanded_line:
-            self.expanded_accesses += 1
-        else:
-            self.compact_accesses += 1
-
     @property
     def total(self) -> int:
         return sum(self.by_class.values())
@@ -95,14 +87,39 @@ class RaceUnitStats:
         return good / self.total if self.total else 0.0
 
 
-class RaceCheckUnit:
-    """Per-machine race-check logic shared by all cores.
+class CheckUnitBase:
+    """Thread plumbing shared by the check units.
 
-    The unit holds the per-core cached main vector-clock element (the
-    32-bit register of Section 5.1); the simulator updates it via
-    :meth:`set_thread` / :meth:`on_sync` on context switches and
-    synchronization operations.
+    A unit holds the per-core cached main vector-clock element (the
+    32-bit register of Section 5.1), installed by :meth:`set_thread` on
+    context switches; :meth:`check` runs the unit's ``check_cycles`` for
+    that thread.  The simulator passes the running thread to
+    ``check_cycles`` directly and never builds a :class:`CheckOutcome`.
     """
+
+    #: per-core (tid, clock) of the running thread.
+    _core_thread: Dict[int, tuple]
+    #: class and line state of the most recent check.
+    last_class = AccessClass.PRIVATE
+    last_expanded = False
+
+    def set_thread(self, core: int, tid: int, clock: int = 0) -> None:
+        """Context switch: install a thread's (tid, clock) on ``core``."""
+        self._core_thread[core] = (tid, clock)
+
+    def check(
+        self, core: int, address: int, size: int, is_write: bool, private: bool
+    ) -> CheckOutcome:
+        """Race-check one access by ``core``'s installed thread."""
+        tid, clock = self._core_thread.get(core, (0, 0))
+        latency = self.check_cycles(
+            core, tid, clock, address, size, is_write, private
+        )
+        return CheckOutcome(self.last_class, latency, self.last_expanded)
+
+
+class RaceCheckUnit(CheckUnitBase):
+    """Per-machine race-check logic shared by all cores."""
 
     #: Cycles for the on-chip fast-path comparison (Figure 4b): simple
     #: combinational circuitry, folded into the epoch load's cycle.
@@ -122,98 +139,118 @@ class RaceCheckUnit:
         self.metadata = metadata
         self.layout = layout
         self.stats = RaceUnitStats()
-        #: per-core (tid, clock) of the running thread — the cached main
-        #: VC element register.
-        self._core_thread: Dict[int, tuple] = {}
+        self._core_thread = {}
 
     def reset_stats(self) -> None:
         """Zero the breakdown counters (used after a warmup replay)."""
         self.stats = RaceUnitStats()
 
-    # -- thread/clock plumbing ---------------------------------------------------
-
-    def set_thread(self, core: int, tid: int, clock: int = 0) -> None:
-        """Context switch: install a thread's (tid, clock) on ``core``."""
-        self._core_thread[core] = (tid, clock)
-
-    def on_sync(self, core: int) -> None:
-        """A synchronization operation advanced the thread's main element."""
-        tid, clock = self._core_thread[core]
-        self._core_thread[core] = (tid, clock + 1)
-
-    def thread_of(self, core: int) -> tuple:
-        return self._core_thread[core]
-
     # -- the check itself -----------------------------------------------------------
 
-    def check(
-        self, core: int, address: int, size: int, is_write: bool, private: bool
-    ) -> CheckOutcome:
-        """Race-check one access; returns its class and check latency."""
+    def check_cycles(
+        self, core: int, tid: int, clock: int, address: int, size: int,
+        is_write: bool, private: bool,
+    ) -> int:
+        """Race-check one access by thread ``tid`` at ``clock``; returns
+        the check latency and leaves its class in :attr:`last_class`."""
+        stats = self.stats
         if private:
-            outcome = CheckOutcome(AccessClass.PRIVATE, 0)
-            self.stats.record(outcome)
-            return outcome
-        tid, clock = self._core_thread[core]
-        my_epoch = self.layout.pack(tid, clock % (self.layout.clock_max + 1))
+            stats.by_class[AccessClass.PRIVATE] += 1
+            stats.private_accesses += 1
+            self.last_class, self.last_expanded = AccessClass.PRIVATE, False
+            return 0
+        layout = self.layout
+        my_epoch = layout.pack(tid, clock % (layout.clock_max + 1))
+        metadata = self.metadata
+        hierarchy = self.hierarchy
 
-        epochs = self.metadata.epochs_for(address, size)
-        plan = self.metadata.plan_read_check(address, size)
-        latency = 0
-        for meta_addr, meta_size in plan.reads:
-            latency += self.hierarchy.access(core, meta_addr, meta_size, False)
-        if plan.miscalculated:
-            latency += self.MISCALC_MIN_PENALTY
+        line = address - address % LINE_SIZE
+        if (
+            metadata.mode == "clean"
+            and 0 < size <= line + LINE_SIZE - address
+            and line not in metadata._expanded_lines
+        ):
+            # Compact single-line access: one epoch per 4-byte group, all
+            # in one read at the guessed (here correct) compact address.
+            first = address - address % GROUP
+            last = address + size - 1
+            last -= last % GROUP
+            get = metadata._group_epochs.get
+            # One or two groups (all but odd sizes): no comprehension.
+            epochs = (
+                [get(first, 0), get(last, 0)] if last - first <= GROUP
+                else [get(g, 0) for g in range(first, last + 1, GROUP)]
+            )
+            latency = hierarchy.access(
+                core, EPOCHS_BASE + first, last - first + GROUP, False
+            )
+            expanded = False
+        else:
+            epochs = metadata.epochs_for(address, size)
+            plan = metadata.plan_read_check(address, size)
+            latency = 0
+            for meta_addr, meta_size in plan.reads:
+                latency += hierarchy.access(core, meta_addr, meta_size, False)
+            if plan.miscalculated:
+                latency += self.MISCALC_MIN_PENALTY
+            expanded = plan.expanded
         latency += self.FAST_COMPARE
 
-        same_thread = all(self.layout.tid(e) == tid for e in epochs)
-        same_epoch = all(self.layout.clear_expanded(e) == my_epoch for e in epochs)
-        # A zero-clock epoch (virgin memory) precedes every access in the
-        # happens-before order, so no race is possible and no VC element
-        # is needed — the comparison circuit resolves it like sameThread.
-        virgin = all(self.layout.clock(e) == 0 for e in epochs)
+        # One pass for all three comparisons.  A zero-clock epoch (virgin
+        # memory) precedes every access in the happens-before order, so
+        # no race is possible and no VC element is needed — the
+        # comparison circuit resolves it like sameThread.
+        clock_bits, max_tid, clock_max = (
+            layout.clock_bits, layout.max_tid, layout.clock_max
+        )
+        keep = ~layout.expanded_mask
+        same_thread = same_epoch = virgin = True
+        for e in epochs:
+            if (e >> clock_bits) & max_tid != tid:
+                same_thread = False
+            if e & keep != my_epoch:
+                same_epoch = False
+            if e & clock_max:
+                virgin = False
 
         if (same_thread or (virgin and not is_write)) and (
             not is_write or same_epoch
         ):
-            outcome = CheckOutcome(AccessClass.FAST, latency, plan.expanded)
-            self.stats.record(outcome)
-            return outcome
-
-        needs_vc = not same_thread and not virgin
-        if needs_vc:
-            # Load the needed vector-clock element(s) from memory.
-            foreign = {self.layout.tid(e) for e in epochs if self.layout.tid(e) != tid}
-            for foreign_tid in foreign:
-                vc_addr = self.metadata.vc_element_address(foreign_tid)
-                latency += self.hierarchy.access(core, vc_addr, 4, False)
-
-        if not is_write:
-            outcome = CheckOutcome(AccessClass.VC_LOAD, latency, plan.expanded)
-            self.stats.record(outcome)
-            return outcome
-
-        # Write needing an epoch update (same_epoch was false or foreign).
-        # The update is *posted*: it drains through the store path while
-        # the program continues (its coherence and cache-state effects
-        # are fully modelled; only its latency is off the critical path).
-        # A line expansion, by contrast, stalls until the 4 stretched
-        # metadata lines are written (Section 5.3).
-        update_plan = self.metadata.apply_write(address, size, my_epoch)
-        posted = 0
-        for meta_addr, meta_size in update_plan.writes:
-            posted += self.hierarchy.access(core, meta_addr, meta_size, True)
-        if update_plan.expansion:
-            latency += posted + self.EXPAND_BASE_PENALTY
-            access_class = AccessClass.EXPAND
-        elif needs_vc:
-            access_class = AccessClass.VC_LOAD_UPDATE
+            access_class = AccessClass.FAST
         else:
-            access_class = AccessClass.UPDATE
-        outcome = CheckOutcome(
-            access_class,
-            latency,
-            plan.expanded or update_plan.expanded,
-        )
-        self.stats.record(outcome)
-        return outcome
+            needs_vc = not same_thread and not virgin
+            if needs_vc:
+                # Load the needed vector-clock element(s) from memory.
+                tids = ((e >> clock_bits) & max_tid for e in epochs)
+                for foreign_tid in {t for t in tids if t != tid}:
+                    vc_addr = metadata.vc_element_address(foreign_tid)
+                    latency += hierarchy.access(core, vc_addr, 4, False)
+            if not is_write:
+                access_class = AccessClass.VC_LOAD
+            else:
+                # Write needing an epoch update (same_epoch was false or
+                # foreign).  The update is *posted*: it drains through
+                # the store path while the program continues (its
+                # coherence and cache-state effects are fully modelled;
+                # only its latency is off the critical path).  A line
+                # expansion, by contrast, stalls until the 4 stretched
+                # metadata lines are written (Section 5.3).
+                update_plan = metadata.apply_write(address, size, my_epoch)
+                posted = 0
+                for meta_addr, meta_size in update_plan.writes:
+                    posted += hierarchy.access(core, meta_addr, meta_size, True)
+                expanded = expanded or update_plan.expanded
+                if update_plan.expansion:
+                    latency += posted + self.EXPAND_BASE_PENALTY
+                    access_class = AccessClass.EXPAND
+                elif needs_vc:
+                    access_class = AccessClass.VC_LOAD_UPDATE
+                else:
+                    access_class = AccessClass.UPDATE
+        stats.by_class[access_class] += 1
+        if expanded:
+            stats.expanded_accesses += 1
+        else:
+            stats.compact_accesses += 1
+        self.last_class, self.last_expanded = access_class, expanded
+        return latency

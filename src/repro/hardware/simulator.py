@@ -18,25 +18,25 @@ data access, so only ``max(0, check - access)`` cycles are exposed.
 Synchronization operations cost ``SYNC_BASE_CYCLES``; with detection
 enabled they pay an extra ``SYNC_VC_CYCLES`` for software-maintained
 vector clocks (the paper adds 100 cycles per synchronization).
+
+The replay loop reads events as plain tuples, L1 hits never leave
+``MemoryHierarchy.access``, and the check unit's ``check_cycles``
+builds no outcome object per access.  Every cycle count and
+counter stays bit-identical to the straightforward model
+(``tests/test_sim_golden.py``; see "Simulator hot path" in
+docs/architecture.md).
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappushpop
+from itertools import chain
 from typing import Dict, Optional, Union
 
 from ..core.epoch import DEFAULT_LAYOUT, EpochLayout
 from ..obs import MetricsRegistry, publish_sim_metrics
-from ..runtime.trace import (
-    READ,
-    SYNC,
-    WRITE,
-    StreamingTrace,
-    Trace,
-    TraceEvent,
-    chunked_events,
-)
+from ..runtime.trace import SYNC, WRITE, StreamingTrace, Trace, event_tuples
 from .hierarchy import Latencies, MemoryHierarchy
 from .metadata import MetadataLayout
 from .race_unit import RaceCheckUnit, RaceUnitStats
@@ -52,36 +52,6 @@ SYNC_BASE_CYCLES = 40
 #: scaled down proportionally to keep the sync-side overhead the same
 #: *fraction* of execution time as in the paper.
 SYNC_VC_CYCLES = 4
-
-
-class _ChunkedStream:
-    """One thread's events, consumed chunk-buffered instead of one
-    ``next()`` at a time.
-
-    The event loop still advances one event per heap pop — timing is
-    bit-identical to the per-event iterator — but events arrive a whole
-    trace chunk per refill: in-memory traces hand out list slices,
-    streaming traces decode each stored chunk once, so the per-event
-    cost drops to a list index.
-    """
-
-    __slots__ = ("_chunks", "_buf", "_pos")
-
-    def __init__(self, trace: object, tid: int) -> None:
-        self._chunks = chunked_events(trace, tid)
-        self._buf: list = []
-        self._pos = 0
-
-    def next(self) -> Optional[TraceEvent]:
-        while self._pos >= len(self._buf):
-            batch = next(self._chunks, None)
-            if batch is None:
-                return None
-            self._buf = batch
-            self._pos = 0
-        event = self._buf[self._pos]
-        self._pos += 1
-        return event
 
 
 @dataclass(frozen=True)
@@ -126,11 +96,6 @@ class SimResult:
     #: Snapshot of the simulator's shared metrics registry at the end of
     #: the measured replay (``sim.*`` names; see docs/observability.md).
     metrics: Dict[str, object] = field(default_factory=dict)
-
-    @property
-    def cpi(self) -> float:
-        """Cycles per instruction (coarse health metric)."""
-        return self.cycles / self.instructions if self.instructions else 0.0
 
 
 class MulticoreSim:
@@ -195,10 +160,10 @@ class MulticoreSim:
         # Threads map to cores round-robin; with 8 worker threads plus the
         # main thread, main shares core 0 (a context switch per event).
         core_of = {tid: i % self.config.n_cores for i, tid in enumerate(tids)}
-        # Per-thread scalar clocks (the main VC element); installed into
-        # the core's register before each check — a context switch when
-        # two threads share a core.  Clocks start at 1: a zero clock is
-        # reserved for virgin (never-written) memory.
+        # Per-thread scalar clocks (the main VC element); every check
+        # gets the running thread's, as the core's cached register holds
+        # it — a context switch when two threads share a core.  Clocks
+        # start at 1: a zero clock is reserved for virgin memory.
         thread_clock: Dict[int, int] = {tid: 1 for tid in tids}
         if warmup:
             self._replay(trace, core_of, thread_clock)
@@ -220,31 +185,36 @@ class MulticoreSim:
     ) -> SimResult:
         tids = trace.thread_ids()
         clocks: Dict[int, int] = {core: 0 for core in range(self.config.n_cores)}
-        # One independent chunk-buffered stream per thread: streaming
-        # traces decode a chunk at a time, so memory stays bounded
-        # however long the trace, and the hot loop reads events by list
-        # index instead of resuming a generator.
-        streams: Dict[int, _ChunkedStream] = {
-            tid: _ChunkedStream(trace, tid) for tid in tids
-        }
+        # One independent stream of event tuples per thread, refilled a
+        # chunk at a time: streaming traces decode one chunk per refill,
+        # so memory stays bounded however long the trace.
+        streams = {tid: chain.from_iterable(event_tuples(trace, tid)) for tid in tids}
         instructions = 0
         data_accesses = 0
+        detection = self.config.detection
+        access = self.hierarchy.access
+        check = self.race_unit.check_cycles if self.race_unit is not None else None
 
         # Event loop keyed by (core cycle, tid): always advance the thread
-        # whose core clock is smallest.
+        # whose core clock is smallest.  Keys never tie (tids are
+        # unique), so pushing a thread back and popping the next one is
+        # exactly one heappushpop.
         heap = [(0, tid) for tid in tids]
-        heapq.heapify(heap)
-        while heap:
-            _, tid = heapq.heappop(heap)
-            core = core_of[tid]
-            event = streams[tid].next()
+        heapify(heap)
+        item = heappop(heap) if heap else None
+        while item is not None:
+            tid = item[1]
+            event = next(streams[tid], None)
             if event is None:
+                item = heappop(heap) if heap else None
                 continue
-            cycles = event.gap  # 1 cycle per non-memory instruction
-            instructions += event.gap
-            if event.kind == SYNC:
+            core = core_of[tid]
+            kind, address, size, private, gap = event
+            cycles = gap  # 1 cycle per non-memory instruction
+            instructions += gap + 1
+            if kind == SYNC:
                 cycles += SYNC_BASE_CYCLES
-                if self.config.detection:
+                if detection:
                     cycles += SYNC_VC_CYCLES
                     thread_clock[tid] += 1
                     # Software updates the thread's in-memory vector
@@ -254,32 +224,22 @@ class MulticoreSim:
                     # (its latency is off the critical path; its
                     # coherence effects are fully modelled).
                     assert self.metadata is not None
-                    vc_addr = self.metadata.vc_element_address(tid % 256)
-                    self.hierarchy.access(core, vc_addr, 4, True)
-                instructions += 1
+                    access(core, self.metadata.vc_element_address(tid % 256), 4, True)
             else:
                 data_accesses += 1
-                instructions += 1
-                data_latency = self.hierarchy.access(
-                    core, event.address, event.size, event.kind == WRITE
-                )
-                if self.race_unit is not None:
-                    self.race_unit.set_thread(core, tid % 256, thread_clock[tid])
-                    outcome = self.race_unit.check(
-                        core,
-                        event.address,
-                        event.size,
-                        event.kind == WRITE,
-                        event.private,
-                    )
+                is_write = kind == WRITE
+                data_latency = access(core, address, size, is_write)
+                if check is not None:
                     # The check overlaps the access; only the excess shows.
-                    cycles += data_latency + max(
-                        0, outcome.check_latency - data_latency
+                    check_latency = check(
+                        core, tid % 256, thread_clock[tid],
+                        address, size, is_write, private,
                     )
+                    cycles += max(data_latency, check_latency)
                 else:
                     cycles += data_latency
             clocks[core] += cycles
-            heapq.heappush(heap, (clocks[core], tid))
+            item = heappushpop(heap, (clocks[core], tid))
 
         cycles_total = max(clocks.values()) if clocks else 0
         registry = self.registry

@@ -35,6 +35,7 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import BinaryIO, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -50,7 +51,7 @@ __all__ = [
     "TraceRecorder",
     "StreamingTrace",
     "open_trace",
-    "chunked_events",
+    "event_tuples",
     "verify_trace",
     "verify_trace_bytes",
     "write_frame",
@@ -925,34 +926,34 @@ def read_frames(
     return payloads, offset
 
 
-def chunked_events(
+def event_tuples(
     trace: object, tid: int, chunk_events: int = DEFAULT_CHUNK_EVENTS
-) -> Iterator[List[TraceEvent]]:
-    """Yield thread ``tid``'s events one chunk-sized list at a time.
+) -> Iterator[List[Tuple[str, int, int, bool, int]]]:
+    """Yield thread ``tid``'s events as ``(kind, address, size, private,
+    gap)`` tuples, one chunk-sized list at a time.
 
-    The simulator's refill protocol: instead of pulling events one
-    ``next()`` at a time, it buffers a whole chunk's list and walks it
-    by index.  In-memory :class:`Trace` objects hand out list slices
-    (zero copy decode); :class:`StreamingTrace` decodes each stored
-    chunk once; anything else satisfying ``iter_events`` is batched
-    through a fallback.
+    The simulator's input: plain tuples unpack faster than
+    :class:`TraceEvent` attribute reads.  :class:`StreamingTrace` decodes
+    each stored chunk once, straight from its column arrays; anything
+    else satisfying ``iter_events`` (an in-memory :class:`Trace`) is
+    converted a batch at a time.
     """
-    if isinstance(trace, Trace):
-        events = trace.per_thread.get(tid, [])
-        for start in range(0, len(events), chunk_events):
-            yield events[start : start + chunk_events]
-        return
     if isinstance(trace, StreamingTrace):
         for chunk in trace.iter_chunks(tid):
-            yield chunk.events()
+            kinds = [_CODE_KIND[k] for k in chunk.kinds.tolist()]
+            yield list(zip(
+                kinds, chunk.addresses.tolist(), chunk.sizes.tolist(),
+                chunk.private.tolist(), chunk.gaps.tolist(),
+            ))
         return
-    batch: List[TraceEvent] = []
-    for event in trace.iter_events(tid):
-        batch.append(event)
-        if len(batch) >= chunk_events:
-            yield batch
-            batch = []
-    if batch:
+    events = iter(trace.iter_events(tid))
+    while True:
+        batch = [
+            (e.kind, e.address, e.size, e.private, e.gap)
+            for e in islice(events, chunk_events)
+        ]
+        if not batch:
+            return
         yield batch
 
 

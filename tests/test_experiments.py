@@ -260,3 +260,45 @@ class TestHardwareExperiments:
         deltas = {k: wide[k] / clean[k] for k in clean}
         worst3 = sorted(deltas, key=deltas.get, reverse=True)[:3]
         assert set(worst3) == {"ocean_cp", "ocean_ncp", "radix"}
+
+
+class TestHwJob:
+    """The merged hw job simulates each distinct configuration once and
+    reports its phases as spans; neither changes the payload."""
+
+    def _traced(self, benchmark, **kwargs):
+        from repro.experiments import hwjobs
+        from repro.obs import MetricsRegistry, Tracer, telemetry_scope
+
+        tracer = Tracer()
+        with telemetry_scope(registry=MetricsRegistry(), tracer=tracer):
+            payload = hwjobs.compute(benchmark, **kwargs)
+        return payload, tracer.finished
+
+    def test_one_simulation_per_distinct_config(self):
+        # fft is on the A1 roster: fig9 base/clean, A1 precise, and the
+        # four Figure-11 designs on the second (fig11_scale) trace.
+        _, spans = self._traced("fft", scale="test", fig11_scale="simsmall")
+        records = [s for s in spans if s.name == "hw.record"]
+        sims = [s for s in spans if s.name == "hw.simulate"]
+        assert [s.attrs["scale"] for s in records] == ["test", "simsmall"]
+        assert [(s.attrs["figure"], s.attrs["config"]) for s in sims] == [
+            ("fig9", "base"), ("fig9", "clean"),
+            ("fig11", "base"), ("fig11", "clean"),
+            ("fig11", "epoch1"), ("fig11", "epoch4"),
+            ("a1", "precise"),
+        ]
+        assert all(s.attrs["benchmark"] == "fft" for s in spans)
+
+    def test_payload_matches_unshared_simulations(self):
+        from repro.experiments import ablations, hwjobs
+        from repro.experiments.traces import record_trace
+        from repro.workloads.suite import get_benchmark
+
+        payload, _ = self._traced("barnes", scale="test")
+        assert payload == hwjobs.compute("barnes", scale="test")
+        trace = record_trace(get_benchmark("barnes"), scale="test")
+        assert payload["fig9"] == fig9_hardware.compute("barnes", trace)
+        assert payload["fig10"] == fig10_breakdown.compute("barnes", trace)
+        assert payload["fig11"] == fig11_epochsize.compute("barnes", trace)
+        assert payload["a1"] == ablations.compute_war("barnes", trace)

@@ -84,6 +84,15 @@ class TestCli:
         cli_main(["trace", "swaptions", out_file])
         assert cli_main(["simulate", out_file, "--unit", "precise"]) == 0
 
+    def test_simulate_empty_trace(self, tmp_path, capsys):
+        """Zero baseline cycles must not divide by zero."""
+        out_file = str(tmp_path / "empty.trace")
+        Trace().save(out_file)
+        assert cli_main(["simulate", out_file]) == 0
+        out = capsys.readouterr().out
+        assert "baseline cycles   0" in out
+        assert "slowdown          1.000x" in out
+
     def test_check_torn(self, capsys):
         assert cli_main(["check", "torn", "--seeds", "3"]) == 0
         out = capsys.readouterr().out
