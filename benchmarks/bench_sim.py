@@ -24,21 +24,16 @@ No threshold is enforced.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
-import platform
-import subprocess
 import time
-from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.experiments.fig11_epochsize import FIG11_MACHINE
 from repro.experiments.traces import record_trace
 from repro.hardware import SimConfig, simulate_trace
 from repro.workloads.suite import HW_BENCHMARKS, get_benchmark
 
-ROOT = Path(__file__).resolve().parent.parent
+from provenance import code, host
 
 CONFIGS = {
     "base": SimConfig(detection=False),
@@ -53,25 +48,6 @@ CONFIGS = {
         detection=True, metadata_mode="epoch4", **FIG11_MACHINE
     ),
 }
-
-
-def _git(*args: str) -> Optional[str]:
-    try:
-        out = subprocess.run(
-            ["git", *args], cwd=ROOT, capture_output=True, text=True,
-            timeout=10, check=True,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return None
-    return out.stdout.strip()
-
-
-def _src_digest() -> str:
-    digest = hashlib.sha256()
-    for path in sorted((ROOT / "src").rglob("*.py")):
-        digest.update(str(path.relative_to(ROOT)).encode())
-        digest.update(path.read_bytes())
-    return digest.hexdigest()[:16]
 
 
 def run_benchmark(repeats: int) -> Dict[str, object]:
@@ -95,7 +71,6 @@ def run_benchmark(repeats: int) -> Dict[str, object]:
             "simulated_accesses": accesses,
             "accesses_per_s": accesses / best,
         }
-    status = _git("status", "--porcelain", "--", "src")
     return {
         "benchmark": "hardware_simulator",
         "workload": {
@@ -105,16 +80,8 @@ def run_benchmark(repeats: int) -> Dict[str, object]:
             "repeats": repeats,
         },
         "configs": results,
-        "host": {
-            "cpu_count": os.cpu_count() or 1,
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-        },
-        "code": {
-            "git_sha": _git("rev-parse", "HEAD"),
-            "src_dirty": bool(status) if status is not None else None,
-            "src_digest": _src_digest(),
-        },
+        "host": host(),
+        "code": code(),
     }
 
 

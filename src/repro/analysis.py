@@ -31,6 +31,7 @@ rejected with a clear error — re-record the trace.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -45,6 +46,8 @@ from .core.exceptions import (
     RawRaceException,
     WawRaceException,
 )
+from .obs.context import current_tracer
+from .obs.tracer import Tracer
 from .runtime.trace import StreamingTrace, Trace, open_trace
 
 __all__ = ["AnalysisReport", "analyze_trace"]
@@ -100,17 +103,19 @@ class _Cols:
 
     def __init__(self, trace: object, tid: int) -> None:
         kinds, addresses, sizes, private = [], [], [], []
-        names: Dict[int, str] = {}
-        base = 0
+        names: List[str] = []
         for chunk in trace.iter_chunks(tid):
             k = chunk.kinds
             kinds.append(k)
             addresses.append(chunk.addresses.astype(np.int64))
             sizes.append(chunk.sizes.astype(np.int64))
             private.append(chunk.private)
-            for pos in np.flatnonzero(k == 2):
-                names[base + int(pos)] = chunk.sync_name_at(int(pos))
-            base += len(chunk)
+            at = np.flatnonzero(k == 2)
+            if len(at):
+                # Unnamed events index past the table, to its "" entry.
+                table = chunk.names + [""]
+                idx = np.minimum(chunk.name_idx[at], len(chunk.names))
+                names.extend([table[i] for i in idx.tolist()])
         if kinds:
             self.kinds = np.concatenate(kinds)
             self.addresses = np.concatenate(addresses)
@@ -121,65 +126,113 @@ class _Cols:
             self.addresses = np.zeros(0, dtype=np.int64)
             self.sizes = np.zeros(0, dtype=np.int64)
             self.private = np.zeros(0, dtype=bool)
-        #: event position -> sync descriptor
-        self.sync_names = names
         #: event positions of the thread's syncs, ascending
         self.sync_pos = np.flatnonzero(self.kinds == 2)
+        #: each sync's descriptor, parallel to ``sync_pos``
+        self.sync_names = names
 
     def __len__(self) -> int:
         return len(self.kinds)
 
 
-@dataclass(frozen=True)
-class _SyncPoint:
-    """One sync commit: global order, owning thread, position, descriptor."""
+#: Descriptor kinds whose target is one sync-object name.
+_NAMED = ("Acquire", "Release", "CondSignal", "CondBroadcast", "SemWait",
+          "SemPost")
 
-    order: int
-    tid: int
-    pos: int  # index into the thread's event columns
-    descriptor: str
+
+def _compile(descriptor: str) -> Tuple[str, Any]:
+    """``"Kind:target"`` -> ``(kind, target)``, the target parsed.
+
+    Barriers become the live run's ``(name, generation)`` key, thread
+    ids ints; a ``CondWait`` keeps the lock it releases and a
+    ``CondWake`` the ``(lock, cond)`` pair it acquires.
+    """
+    kind, _, rest = descriptor.partition(":")
+    try:
+        if kind in _NAMED:
+            return kind, rest
+        if kind == "Spawn" or kind == "Join":
+            return kind, int(rest)
+        if kind == "BarrierWait":
+            name, _, gen = rest.rpartition("@")
+            return kind, (name, int(gen))
+        if kind == "CondWait":
+            return kind, rest.partition(":")[2]
+        if kind == "CondWake":
+            lock, _, cond = rest.partition(":")
+            return kind, (lock, cond)
+    except ValueError:
+        pass
+    raise ValueError(f"unknown or malformed sync descriptor {descriptor!r}")
 
 
 class _Plan:
-    """The replay plan: per-thread columns plus the global sync order."""
+    """The replay plan: per-thread columns plus the compiled sync order.
+
+    ``syncs`` holds one ``(order, tid, pos, kind, target)`` tuple per
+    sync commit, ascending by global order: ``pos`` indexes the
+    thread's event columns and ``target`` is the parsed descriptor (see
+    :func:`_compile`).
+    """
 
     def __init__(self, trace: object) -> None:
         self.cols: Dict[int, _Cols] = {
             tid: _Cols(trace, tid) for tid in trace.thread_ids()
         }
-        self.syncs: List[_SyncPoint] = []
+        orders, tids, positions, names = [], [], [], []
         for tid, cols in self.cols.items():
             if (cols.sizes[(cols.kinds != 2) & ~cols.private] < 1).any():
                 raise ValueError("trace has a zero-size shared access")
-            for pos in cols.sync_pos.tolist():
-                order = int(cols.addresses[pos])
-                if order <= 0:
-                    raise ValueError(
-                        "trace has sync events without replayable "
-                        "descriptors (recorded before the descriptor "
-                        "format); re-record it to analyze offline"
-                    )
-                self.syncs.append(
-                    _SyncPoint(order, tid, pos, cols.sync_names[pos])
+            order = cols.addresses[cols.sync_pos]
+            if (order <= 0).any():
+                raise ValueError(
+                    "trace has sync events without replayable "
+                    "descriptors (recorded before the descriptor "
+                    "format); re-record it to analyze offline"
                 )
-        self.syncs.sort(key=lambda s: s.order)
+            orders.append(order)
+            tids.append(np.full(len(order), tid, dtype=np.int64))
+            positions.append(cols.sync_pos)
+            names += cols.sync_names
+        empty = [np.zeros(0, dtype=np.int64)]
+        order = np.concatenate(empty + orders)
+        rank = np.argsort(order, kind="stable")
+        order = order[rank]
+        repeated = np.flatnonzero(order[1:] == order[:-1])
+        if len(repeated):
+            raise ValueError(
+                f"trace repeats sync order {int(order[repeated[0]])}"
+            )
+        compiled = {name: _compile(name) for name in dict.fromkeys(names)}
+        steps = [compiled[names[i]] for i in rank.tolist()]
+        self.syncs: List[Tuple[int, int, int, str, Any]] = [
+            (o, t, p, kind, target)
+            for o, t, p, (kind, target) in zip(
+                order.tolist(),
+                np.concatenate(empty + tids)[rank].tolist(),
+                np.concatenate(empty + positions)[rank].tolist(),
+                steps,
+            )
+        ]
         # Per (barrier, generation) episode: arrivers in arrival order.
         # Departs of the whole episode apply at its last arrival — the
         # moment the live barrier tripped.
-        self.episodes: Dict[str, List[int]] = {}
-        episode_orders: Dict[str, List[int]] = {}
-        for s in self.syncs:
-            if s.descriptor.startswith("BarrierWait:"):
-                key = s.descriptor[len("BarrierWait:"):]
-                self.episodes.setdefault(key, []).append(s.tid)
-                episode_orders.setdefault(key, []).append(s.order)
-        self.trips: Dict[int, str] = {
-            max(orders): key for key, orders in episode_orders.items()
-        }
-        spawned = {
-            int(s.descriptor.split(":", 1)[1])
-            for s in self.syncs
-            if s.descriptor.startswith("Spawn:")
+        episodes: Dict[Tuple[str, int], List[int]] = {}
+        last: Dict[Tuple[str, int], int] = {}
+        spawned = set()
+        for o, tid, _pos, kind, target in self.syncs:
+            if kind == "BarrierWait":
+                episodes.setdefault(target, []).append(tid)
+                last[target] = o
+            elif kind == "Spawn":
+                spawned.add(target)
+            elif kind == "Join" and target not in self.cols:
+                raise ValueError(
+                    f"trace joins thread {target}, which is absent from it"
+                )
+        #: order of an episode's last arrival -> (episode key, arrivers)
+        self.trips: Dict[int, Tuple[Tuple[str, int], List[int]]] = {
+            o: (key, episodes[key]) for key, o in last.items()
         }
         roots = [tid for tid in self.cols if tid not in spawned]
         self.root = min(roots) if roots else min(self.cols, default=0)
@@ -193,10 +246,9 @@ class _Plan:
         return (max(self.cols) + 1) if self.cols else 1
 
 
-def _barrier_key(text: str) -> Tuple[str, int]:
-    """``"B@3"`` -> the live run's ``(barrier name, generation)`` key."""
-    name, _, gen = text.rpartition("@")
-    return (name, int(gen))
+def _phase(tracer: Optional[Tracer], name: str, **attrs: Any):
+    """A span under ``tracer``, or nothing without one."""
+    return tracer.span(name, **attrs) if tracer is not None else nullcontext()
 
 
 # -- the single-process replay (scalar and batch) -----------------------------
@@ -213,10 +265,16 @@ class _MonitorReplay:
     hooks.
     """
 
-    def __init__(self, plan: _Plan, monitor: CleanMonitor, batch: bool) -> None:
+    def __init__(
+        self,
+        plan: _Plan,
+        monitor: CleanMonitor,
+        batch: bool,
+        tracer: Optional[Tracer],
+    ) -> None:
         self.plan = plan
         self.monitor = monitor
-        self.window = _Window(plan, monitor) if batch else None
+        self.window = _Window(plan, monitor, tracer) if batch else None
         self.position = 0
         self._cursor: Dict[int, int] = {tid: 0 for tid in plan.cols}
         self.race: Optional[RaceException] = None
@@ -225,13 +283,19 @@ class _MonitorReplay:
     def run(self) -> None:
         monitor = self.monitor
         monitor.on_thread_start(self.plan.root, None)
+        flush, apply_sync = self._flush, self._apply_sync
+        cursor, trips = self._cursor, self.plan.trips
         try:
-            for sync in self.plan.syncs:
-                self._flush(sync.tid, sync.pos)
-                self._apply_sync(sync)
-                self._cursor[sync.tid] = sync.pos + 1
+            for order, tid, pos, kind, target in self.plan.syncs:
+                flush(tid, pos)
+                apply_sync(tid, kind, target)
+                if order in trips:
+                    (name, gen), arrivers = trips[order]
+                    for arriver in arrivers:
+                        monitor.on_barrier_depart(arriver, name, gen)
+                cursor[tid] = pos + 1
             for tid in sorted(self.plan.cols):
-                self._flush(tid, len(self.plan.cols[tid]))
+                flush(tid, len(self.plan.cols[tid]))
             if self.window is not None:
                 self.window.resolve()
         except RaceException as exc:
@@ -269,52 +333,38 @@ class _MonitorReplay:
 
     # -- synchronization --------------------------------------------------
 
-    def _apply_sync(self, sync: _SyncPoint) -> None:
+    def _apply_sync(self, tid: int, kind: str, target: Any) -> None:
         monitor = self.monitor
-        tid = sync.tid
-        kind, _, rest = sync.descriptor.partition(":")
         if kind == "Join":
             # The child's trailing accesses (after its last sync) happened
             # before this join; replay them before retiring its tid.
-            child = int(rest)
-            self._flush(child, self._segment_end(child))
+            self._flush(target, self._segment_end(target))
         if self.window is not None:
             self.window.before_sync()
         if kind == "Acquire":
-            monitor.on_acquire(tid, rest)
+            monitor.on_acquire(tid, target)
         elif kind == "Release":
-            monitor.on_release(tid, rest)
+            monitor.on_release(tid, target)
+        elif kind == "BarrierWait":
+            monitor.on_barrier_arrive(tid, target[0], target[1])
         elif kind == "CondWait":
             # The wait releases the lock; the cond edge happens at wake.
-            _cond, _, lock = rest.partition(":")
-            monitor.on_release(tid, lock)
+            monitor.on_release(tid, target)
         elif kind == "CondWake":
-            lock, _, cond = rest.partition(":")
-            monitor.on_acquire(tid, lock)
-            monitor.on_cond_wake(tid, cond)
-        elif kind in ("CondSignal", "CondBroadcast"):
-            monitor.on_cond_signal(tid, rest)
+            monitor.on_acquire(tid, target[0])
+            monitor.on_cond_wake(tid, target[1])
+        elif kind == "CondSignal" or kind == "CondBroadcast":
+            monitor.on_cond_signal(tid, target)
         elif kind == "SemWait":
-            monitor.on_sem_wait(tid, rest)
+            monitor.on_sem_wait(tid, target)
         elif kind == "SemPost":
-            monitor.on_sem_post(tid, rest)
-        elif kind == "BarrierWait":
-            name, gen = _barrier_key(rest)
-            monitor.on_barrier_arrive(tid, name, gen)
+            monitor.on_sem_post(tid, target)
         elif kind == "Spawn":
-            child = int(rest)
-            monitor.on_thread_start(child, tid)
-            monitor.on_spawn(tid, child)
-        elif kind == "Join":
-            monitor.on_join(tid, int(rest))
-        else:
-            raise ValueError(f"unknown sync descriptor {sync.descriptor!r}")
+            monitor.on_thread_start(target, tid)
+            monitor.on_spawn(tid, target)
+        else:  # Join
+            monitor.on_join(tid, target)
         monitor.on_sync_commit(tid, None)
-        if sync.order in self.plan.trips:
-            key = self.plan.trips[sync.order]
-            name, gen = _barrier_key(key)
-            for arriver in self.plan.episodes[key]:
-                monitor.on_barrier_depart(arriver, name, gen)
 
     def _segment_end(self, tid: int) -> int:
         """End of ``tid``'s current open segment: its next sync, or EOF."""
@@ -328,11 +378,13 @@ class _Window:
 
     CLEAN's check (Figure 2) compares each byte's last-write epoch with
     the accessing thread's vector clock, and only sync commits change
-    that clock.  So each segment is queued with a snapshot of its
-    thread's vector clock, syncs keep replaying, and once ``WINDOW``
-    shared accesses are pending the whole window is resolved at once:
+    that clock.  So each segment is queued with a copy of its thread's
+    packed vector-clock elements, syncs keep replaying, and once
+    ``WINDOW`` shared accesses are pending the whole window is resolved
+    at once:
 
-    * every access expands into its bytes, stably sorted by address;
+    * every access expands into its bytes, sorted by address and, within
+      one address, by replay order;
     * a byte's prior epoch is that of its last earlier write in the
       window (all writes of a segment install the segment's epoch), else
       the epoch store's;
@@ -348,11 +400,14 @@ class _Window:
     ``CleanDetector._check_access`` would, and replay stops there.
     """
 
-    def __init__(self, plan: _Plan, monitor: CleanMonitor) -> None:
+    def __init__(
+        self, plan: _Plan, monitor: CleanMonitor, tracer: Optional[Tracer]
+    ) -> None:
         self.monitor = monitor
         self.detector = monitor.detector
         self.shadow = self.detector.shadow
         self.layout = self.detector.layout
+        self.tracer = tracer
         # Shared accesses of every thread, concatenated thread-major; a
         # segment is one contiguous range of these columns.
         parts = [(np.zeros(0, bool),) + (np.zeros(0, np.int64),) * 3]
@@ -375,9 +430,14 @@ class _Window:
         self.is_write, self.addr, self.size, self.event = (
             np.concatenate(column) for column in zip(*parts)
         )
-        self.segments: List[tuple] = []
+        # Pending segments, flat: (lo, hi, tid, replay offset) and the
+        # thread's packed vector-clock elements, per segment.
+        self._meta: List[int] = []
+        self._packed: List[int] = []
         self.pending = 0
         self.syncs = 0
+        #: windows resolved so far
+        self.windows = 0
         self.race_position: Optional[int] = None
 
     def add(self, tid: int, start: int, end: int, base: int) -> None:
@@ -391,9 +451,9 @@ class _Window:
         except MetadataError:
             self.resolve()  # a race earlier in replay order wins
             raise
-        self.segments.append(
-            (lo, hi, tid, vc.clocks(), vc.element(tid), base - start)
-        )
+        # A copy: the live clock advances in place at the thread's syncs.
+        self._packed += vc.elements()
+        self._meta += (lo, hi, tid, base - start)
         self.pending += hi - lo
         if self.pending >= WINDOW:
             self.resolve()
@@ -415,27 +475,48 @@ class _Window:
 
     def resolve(self) -> None:
         """Race-check every pending access, in replay order."""
-        if not self.segments:
+        if not self._meta:
             return
-        lo, hi, tids, clocks, epochs, offsets = zip(*self.segments)
-        self.segments = []
+        self.windows += 1
+        if self.tracer is None:
+            return self._check()
+        with self.tracer.span("analyze.resolve", accesses=self.pending):
+            return self._check()
+
+    def _check(self) -> None:
+        meta = np.array(self._meta, dtype=np.int64).reshape(-1, 4)
+        lo, hi, tids, offsets = meta.T
+        segments = np.arange(len(meta))
+        packed = np.array(self._packed, dtype=np.int64).reshape(len(meta), -1)
+        self._meta, self._packed = [], []
         self.pending = 0
-        lo = np.array(lo, dtype=np.int64)
-        lens = np.array(hi, dtype=np.int64) - lo
+        lens = hi - lo
         n = int(lens.sum())
-        seg = np.repeat(np.arange(len(lens)), lens)
+        seg = np.repeat(segments, lens)
         idx = np.arange(n) + np.repeat(lo - (np.cumsum(lens) - lens), lens)
         is_write, addr, size = self.is_write[idx], self.addr[idx], self.size[idx]
-        epoch = np.array(epochs, dtype=np.int64)
-        vcs = np.array(clocks, dtype=np.int64)
+        layout = self.layout
+        epoch = packed[segments, tids]
+        vcs = packed & layout.clock_max
 
-        # Bytes, stably sorted by address: within one address, replay order.
+        # Bytes sorted by address, within one address in replay order:
+        # one value sort of the unique key (address, byte index), which
+        # carries the permutation in its low bits.  A window whose key
+        # could reach 2**62 takes a stable sort on addresses instead.
         starts = np.cumsum(size) - size
         total = int(starts[-1] + size[-1])
         k = np.arange(total)
         baddr = k + np.repeat(addr - starts, size)
-        order = np.argsort(baddr, kind="stable")
-        baddr = baddr[order]
+        low = int(addr.min())
+        span = int((addr + size).max()) - low
+        bits = total.bit_length()
+        if span < 1 << (62 - bits):
+            key = np.sort(((baddr - low) << bits) | k)
+            order = key & ((1 << bits) - 1)
+            baddr = (key >> bits) + low
+        else:
+            order = np.argsort(baddr, kind="stable")
+            baddr = baddr[order]
         acc = np.repeat(np.arange(n), size)[order]
         head = np.ones(total, dtype=bool)
         head[1:] = baddr[1:] != baddr[:-1]
@@ -449,20 +530,21 @@ class _Window:
         byte_seg = seg[acc]
         writer_seg = seg[acc[prior]]
         e = np.where(inside, epoch[writer_seg], self.shadow.gather(baddr))
-        layout = self.layout
         racy = (e & layout.clock_max) > vcs[
             byte_seg, (e >> layout.clock_bits) & layout.max_tid
         ]
         same = inside & (writer_seg == byte_seg)
         hit = np.bincount(acc[~same], minlength=n) == 0
-        racy_acc = np.bincount(acc[racy], minlength=n) > 0
+        if racy.any():
+            r = int(np.argmax(np.bincount(acc[racy], minlength=n) > 0))
+        else:
+            r = n
         # Back in access order, where each access's bytes are contiguous.
-        e_acc, racy_byte = np.empty_like(e), np.empty_like(racy)
-        e_acc[order], racy_byte[order] = e, racy
+        e_acc = np.empty_like(e)
+        e_acc[order] = e
         uniform = np.minimum.reduceat(e_acc, starts) == np.maximum.reduceat(
             e_acc, starts
         )
-        r = int(np.argmax(racy_acc)) if racy_acc.any() else n
 
         # Accesses before the first racy one, as the scalar lane counts.
         stats = self.detector.stats
@@ -514,6 +596,8 @@ class _Window:
             stats.multibyte_uniform_epoch += 1
             j = 0
         else:
+            racy_byte = np.empty_like(racy)
+            racy_byte[order] = racy
             j = int(np.argmax(racy_byte[starts[r] : starts[r] + width]))
             width = 1
             if is_write[r]:
@@ -522,23 +606,32 @@ class _Window:
                 self.shadow.stores += updated
         stats.epoch_comparisons += j + 1
         stats.races_raised += 1
-        self.race_position = offsets[s] + int(self.event[idx[r]])
+        self.race_position = int(offsets[s] + self.event[idx[r]])
         writer = int(eb[j])
         exc = WawRaceException if is_write[r] else RawRaceException
         raise exc(
-            int(addr[r]) + j, tids[s], layout.tid(writer),
+            int(addr[r]) + j, int(tids[s]), layout.tid(writer),
             layout.clock(writer), width,
         )
 
 
 def _run_single(
-    plan: _Plan, batch: bool, max_threads: int, layout: EpochLayout
+    plan: _Plan,
+    batch: bool,
+    max_threads: int,
+    layout: EpochLayout,
+    tracer: Optional[Tracer],
 ) -> Tuple[CleanMonitor, Optional[RaceException], Optional[int]]:
     detector = CleanDetector(max_threads=max_threads, layout=layout)
     monitor = CleanMonitor(detector=detector, max_threads=max_threads)
     monitor.sites = None  # profiling belongs to live runs, not replay
-    replay = _MonitorReplay(plan, monitor, batch=batch)
-    replay.run()
+    replay = _MonitorReplay(plan, monitor, batch, tracer)
+    with _phase(
+        tracer, "analyze.replay", mode="batch" if batch else "scalar"
+    ) as span:
+        replay.run()
+        if span is not None:
+            span.set("windows", replay.window.windows if batch else 0)
     return monitor, replay.race, replay.race_position
 
 
@@ -643,13 +736,22 @@ def analyze_trace(
         raise ValueError(f"unknown analysis mode {mode!r}")
     if isinstance(trace, (str,)) or hasattr(trace, "__fspath__"):
         trace = open_trace(str(trace), salvage=salvage)
-    plan = _Plan(trace)
+    tracer = current_tracer()
+    with _phase(tracer, "analyze.plan", mode=mode) as span:
+        plan = _Plan(trace)
+        if span is not None:
+            span.set("threads", plan.threads)
+            span.set("syncs", len(plan.syncs))
     if max_threads is None:
         max_threads = max(plan.min_max_threads(), 2)
     monitor, race, position = _run_single(
-        plan, batch=(mode == "batch"), max_threads=max_threads, layout=layout
+        plan, mode == "batch", max_threads, layout, tracer
     )
     payload = _race_payload(race, position) if race is not None else None
+    sites: List[Dict[str, Any]] = []
+    if hot_sites > 0:
+        with _phase(tracer, "analyze.hot_sites", mode=mode):
+            sites = _hot_sites(plan, hot_sites, payload)
     return AnalysisReport(
         mode=mode,
         racy=race is not None,
@@ -659,7 +761,5 @@ def analyze_trace(
         accesses=plan.accesses,
         syncs=len(plan.syncs),
         counters=_collect_counters(monitor),
-        hot_sites=(
-            _hot_sites(plan, hot_sites, payload) if hot_sites > 0 else []
-        ),
+        hot_sites=sites,
     )

@@ -226,9 +226,10 @@ class CleanDetector(DetectorBackend):
         key = stable_sync_id(sync_key)
         vc = self._lock_vcs.get(key)
         if vc is None:
-            vc = VectorClock(self.max_threads, self.layout)
-            self._lock_vcs[key] = vc
-        vc.join(thread.vc)
+            # Joining into a fresh all-zero clock yields the thread's.
+            self._lock_vcs[key] = thread.vc.copy()
+        else:
+            vc.join(thread.vc)
         self._advance(thread)
         self.stats.sync_ops += 1
 
@@ -616,7 +617,9 @@ class CleanDetector(DetectorBackend):
 
     def _advance(self, thread: ThreadState) -> None:
         """Advance a thread's own clock, handling imminent rollover."""
-        if self.layout.would_rollover(thread.vc.clock_of(thread.tid)):
+        clock_max = self.layout.clock_max
+        # ``layout.would_rollover`` of the thread's clock, inline.
+        if thread.vc._elems[thread.tid] & clock_max >= clock_max:
             self.rollover_pending = True
             if self.auto_rollover:
                 self.reset_metadata()

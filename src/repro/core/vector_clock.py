@@ -57,6 +57,10 @@ class VectorClock:
         mask = self.layout.clock_max
         return [e & mask for e in self._elems]
 
+    def elements(self) -> List[int]:
+        """A copy of every epoch-encoded element, by thread index."""
+        return self._elems[:]
+
     # -- mutation ----------------------------------------------------------
 
     def set_clock(self, tid: int, clock: int) -> None:
@@ -70,13 +74,21 @@ class VectorClock:
         layout — callers (the rollover controller) must reset metadata
         *before* this happens (Section 4.5).
         """
-        new_clock = self.clock_of(tid) + 1
-        if new_clock > self.layout.clock_max:
+        if tid < 0:
+            raise ValueError(
+                f"tid {tid} does not fit in {self.layout.tid_bits} bits"
+            )
+        elems = self._elems
+        clock_max = self.layout.clock_max
+        word = elems[tid]
+        if word & clock_max == clock_max:
             raise OverflowError(
                 f"clock of thread {tid} exceeded {self.layout.clock_bits} bits"
             )
-        self._elems[tid] = self.layout.pack(tid, new_clock)
-        return new_clock
+        # The tid bits sit above the clock, so the packed word bumps in
+        # place once the clock is known not to carry into them.
+        elems[tid] = word + 1
+        return (word + 1) & clock_max
 
     def join(self, other: "VectorClock") -> None:
         """Element-wise maximum (by clock component) with ``other``.
@@ -87,9 +99,10 @@ class VectorClock:
         """
         if other.layout is not self.layout and other.layout != self.layout:
             raise ValueError("cannot join vector clocks with different layouts")
-        if len(other) != len(self):
+        mine, theirs = self._elems, other._elems
+        if len(theirs) != len(mine):
             raise ValueError("cannot join vector clocks of different sizes")
-        self._elems = list(map(max, self._elems, other._elems))
+        self._elems = [a if a >= b else b for a, b in zip(mine, theirs)]
 
     def reset(self) -> None:
         """Zero every clock (used by the deterministic rollover reset)."""

@@ -773,9 +773,16 @@ def _pool_worker_main(
     cpu_s, telem)`` or ``("error", seq, message, cpu_s)``.  A ``None``
     message (or EOF on the pipe) is the shutdown signal.  One worker
     runs many jobs over its lifetime — that is the point of the pool.
+    So is the death of the pool's process: a forked worker inherits the
+    pool's end of its own pipe, which therefore never reports EOF, so
+    the worker also watches its parent's sentinel.
     """
+    parent = multiprocessing.parent_process()
+    watch = [conn] if parent is None else [conn, parent.sentinel]
     while True:
         try:
+            if conn not in _wait_connections(watch):
+                return  # the pool's process died
             message = conn.recv()
         except (EOFError, OSError):
             return

@@ -11,7 +11,7 @@ The crash-safety contract of ``repro serve`` (PR 10):
 * the content-hashed verdict cache serves duplicate uploads without
   touching the worker pool, refunding the quota token;
 * the worker pool survives a respawn storm by degrading instead of
-  thrashing;
+  thrashing, and its workers exit when the pool's process is killed;
 * the whole loop closes end to end: SIGKILL a live daemon mid-burst,
   restart it on the same spool, and every acknowledged submission
   reaches the exact verdict of an uninterrupted run.
@@ -21,7 +21,11 @@ from __future__ import annotations
 
 import json
 import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +65,38 @@ def clean_bytes(tmp_path_factory):
                          racy=False)
     trace.save(path)
     return path.read_bytes()
+
+
+PROC = Path("/proc")
+needs_proc = pytest.mark.skipif(
+    not (PROC / "self" / "stat").exists(), reason="needs Linux /proc"
+)
+
+
+def _processes(match) -> list:
+    """Pids of running processes for which ``match(pid, ppid, cmdline)``
+    holds; zombies have exited and never match."""
+    pids = []
+    for entry in PROC.iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text().rsplit(")", 1)[1].split()
+            cmdline = (entry / "cmdline").read_bytes()
+        except OSError:
+            continue
+        pid = int(entry.name)
+        if stat[0] != "Z" and match(pid, int(stat[1]), cmdline):
+            pids.append(pid)
+    return pids
+
+
+def _wait_until_gone(match, timeout=5.0) -> list:
+    """Poll until no process satisfies ``match``; returns the survivors."""
+    deadline = time.monotonic() + timeout
+    while _processes(match) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return _processes(match)
 
 
 def _counter(registry, name):
@@ -566,6 +602,45 @@ class TestRespawnStorm:
             pool.stop()
 
 
+# -- orphaned workers -------------------------------------------------------
+
+
+_POOL_OWNER = """
+import sys, time
+from repro.exec import PersistentPool
+PersistentPool(workers=int(sys.argv[1])).start()
+print("ready", flush=True)
+time.sleep(60)
+"""
+
+
+@needs_proc
+class TestOrphanedWorkers:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_workers_exit_when_the_pool_process_is_killed(self, workers):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        owner = subprocess.Popen(
+            [sys.executable, "-c", _POOL_OWNER, str(workers)],
+            stdout=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            assert owner.stdout.readline().strip() == "ready"
+            children = set(
+                _processes(lambda _pid, ppid, _cmd: ppid == owner.pid)
+            )
+            assert len(children) == workers
+        finally:
+            owner.kill()
+            owner.wait()
+            owner.stdout.close()
+        survivors = _wait_until_gone(lambda pid, _ppid, _cmd: pid in children)
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert survivors == []
+
+
 # -- the full loop: kill -9 a live daemon -----------------------------------
 
 
@@ -582,6 +657,13 @@ class TestDaemonKill:
         assert report["matched"] == 3
         assert report["ok"] is True
         assert (tmp_path / "dk" / "daemon_kill_report.json").exists()
+        if (PROC / "self" / "stat").exists():
+            # Neither daemon, nor any of their pool workers, outlives it.
+            spool = str(tmp_path / "dk" / "spool").encode()
+            survivors = _wait_until_gone(lambda _pid, _ppid, cmd: spool in cmd)
+            for pid in survivors:
+                os.kill(pid, signal.SIGKILL)
+            assert survivors == []
 
 
 # -- service status surfaces durability -------------------------------------

@@ -542,3 +542,55 @@ class TestAnalysisEquivalence:
         )
         with pytest.raises(ValueError, match="re-record"):
             analyze_trace(trace)
+
+    @pytest.mark.parametrize("mode", ["scalar", "batch"])
+    def test_join_of_an_absent_thread_is_rejected(self, tmp_path, mode):
+        # Thread 1 is spawned and joined but has no events in the file.
+        trace = Trace(per_thread={0: [
+            TraceEvent(WRITE, 0x1000, 4),
+            TraceEvent(SYNC, address=1, sync_name="Spawn:1"),
+            TraceEvent(SYNC, address=2, sync_name="Join:1"),
+            TraceEvent(READ, 0x1000, 4),
+        ]})
+        path = tmp_path / "absent.trace"
+        trace.save(path)
+        with pytest.raises(ValueError, match="joins thread 1"):
+            analyze_trace(path, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["scalar", "batch"])
+    def test_repeated_sync_order_is_rejected(self, mode):
+        trace = Trace(per_thread={
+            0: [TraceEvent(SYNC, address=1, sync_name="Spawn:1"),
+                TraceEvent(SYNC, address=2, sync_name="Release:L")],
+            1: [TraceEvent(SYNC, address=2, sync_name="Acquire:L")],
+        })
+        with pytest.raises(ValueError, match="repeats sync order 2"):
+            analyze_trace(trace, mode=mode)
+
+    @pytest.mark.parametrize("window", [1, 4096])
+    @pytest.mark.parametrize("racy", [False, True])
+    def test_window_spanning_a_huge_address_range(
+        self, monkeypatch, racy, window
+    ):
+        # The window sorts bytes by a packed (address, replay order) key;
+        # addresses 2**60 apart cannot pack into 63 bits, so the window
+        # must fall back to a stable sort on addresses alone.  With one
+        # segment per window, later windows read the epochs it carried.
+        monkeypatch.setattr(repro.analysis, "WINDOW", window)
+        low, high = 0x1000, 1 << 60
+        child = [TraceEvent(READ, high, 4),
+                 TraceEvent(SYNC, address=3, sync_name="Acquire:L"),
+                 TraceEvent(WRITE, low, 4)]
+        if not racy:  # acquire before the read instead
+            child[:2] = child[1::-1]
+        trace = Trace(per_thread={
+            0: [TraceEvent(WRITE, low, 4), TraceEvent(WRITE, high, 8),
+                TraceEvent(SYNC, address=1, sync_name="Spawn:1"),
+                TraceEvent(WRITE, low + 2, 4), TraceEvent(WRITE, high, 4),
+                TraceEvent(SYNC, address=2, sync_name="Release:L")],
+            1: child,
+        })
+        scalar = analyze_trace(trace, mode="scalar", hot_sites=4)
+        batch = analyze_trace(trace, mode="batch", hot_sites=4)
+        assert scalar.racy == racy
+        assert batch.to_payload() == dict(scalar.to_payload(), mode="batch")

@@ -19,6 +19,7 @@ import pytest
 
 from repro.analysis import analyze_trace
 from repro.exec import Job, PersistentPool
+from repro.exec.job import run_job_traced
 from repro.experiments.traces import record_trace
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs.serve import Request, Response, TelemetryServer
@@ -32,6 +33,7 @@ from repro.service import (
     ServeDaemon,
     UnknownSubmission,
 )
+from repro.service.jobs import analyze_submission
 from repro.workloads.suite import get_benchmark
 
 
@@ -383,6 +385,43 @@ class TestPersistentPool:
         with pytest.raises(RuntimeError):
             pool.submit(Job(fn="tests._runner_jobs:double", config={"x": 1},
                             name="late"))
+
+
+# -- analysis phase spans ---------------------------------------------------
+
+
+class TestAnalysisSpans:
+    @pytest.mark.parametrize("variant", ["clean", "racy"])
+    def test_phase_spans_reach_job_telemetry(
+        self, tmp_path, variant, clean_bytes, racy_bytes
+    ):
+        path = tmp_path / f"{variant}.trace"
+        path.write_bytes(clean_bytes if variant == "clean" else racy_bytes)
+        job = Job(fn="repro.service.jobs:analyze_submission",
+                  config={"trace": str(path)})
+        value, telemetry = run_job_traced(job)
+        spans = telemetry["spans"]
+
+        def named(name):
+            return [s for s in spans if s["name"] == name]
+
+        (job_run,) = named("job.run")
+        (plan,) = named("analyze.plan")
+        (replay,) = named("analyze.replay")
+        (hot,) = named("analyze.hot_sites")
+        resolves = named("analyze.resolve")
+        for top in (plan, replay, hot):
+            assert top["parent_id"] == job_run["span_id"]
+            assert top["attrs"]["mode"] == "batch"
+        assert plan["attrs"]["threads"] == value["threads"]
+        assert plan["attrs"]["syncs"] == value["syncs"]
+        assert resolves
+        assert replay["attrs"]["windows"] == len(resolves)
+        assert all(s["parent_id"] == replay["span_id"] for s in resolves)
+        assert plan["end"] <= replay["start"] and replay["end"] <= hot["start"]
+        # Tracing observes the analysis; it never changes its answer.
+        assert value == analyze_submission(str(path))
+        assert value["verdict"] == variant
 
 
 # -- RaceCheckService -------------------------------------------------------
