@@ -44,6 +44,8 @@ from repro.obs import (
 from repro.workloads import build_program
 from repro.workloads.suite import get_benchmark
 
+from gates import within
+
 # One racy run (dedup@seed0 races deterministically) and two race-free
 # runs: a mix of sync-heavy and compute-heavy kernels.
 WORKLOAD = [
@@ -159,7 +161,7 @@ def main(argv=None) -> int:
             print("FAIL: repeated recorded runs produced different "
                   "timeline payloads", file=sys.stderr)
             return 1
-        if over["timeline_on"] > BUDGET:
+        if not within("timeline overhead", over["timeline_on"], "<=", BUDGET):
             print(f"FAIL: timeline recording overhead "
                   f"{over['timeline_on']:.2f}x above {BUDGET:.2f}x budget",
                   file=sys.stderr)

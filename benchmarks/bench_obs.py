@@ -47,6 +47,8 @@ from repro.exec import JobRunner
 from repro.experiments.report import build_jobs
 from repro.obs import MetricsRegistry, Tracer
 
+from gates import within
+
 
 def _fig7_jobs():
     return [j for j in build_jobs(fast=True) if j.group == "fig7"]
@@ -200,12 +202,12 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 1
         # Generous bound: the per-job scope + merge must stay cheap.
-        if over["telemetry_on"] > 2.0:
+        if not within("telemetry overhead", over["telemetry_on"], "<=", 2.0):
             print("FAIL: telemetry-on overhead above 2x", file=sys.stderr)
             return 1
         # A held labeled handle is the same Counter object as a flat
         # one — the label cost was paid once at registration.
-        if ratios["labeled_handle"] > 1.25:
+        if not within("labeled handle", ratios["labeled_handle"], "<=", 1.25):
             print(
                 f"FAIL: handle-held labeled counter overhead "
                 f"{ratios['labeled_handle']:.2f}x above 1.25x budget",

@@ -39,6 +39,8 @@ from typing import Dict
 from repro.exec import CheckpointStore, JobRunner
 from repro.experiments.report import build_jobs
 
+from gates import within
+
 
 def _fig7_jobs():
     return [j for j in build_jobs(fast=True) if j.group == "fig7"]
@@ -115,7 +117,8 @@ def main(argv=None) -> int:
         if warm["executed"] != 0:
             print("FAIL: warm resume re-executed jobs", file=sys.stderr)
             return 1
-        if speed["warm_resume_vs_serial"] < 2.0:
+        if not within("warm resume/serial", speed["warm_resume_vs_serial"],
+                      ">=", 2.0):
             print("FAIL: warm-resume speedup below 2x", file=sys.stderr)
             return 1
     return 0

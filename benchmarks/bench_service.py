@@ -51,6 +51,8 @@ from repro.obs import MetricsRegistry
 from repro.service import RaceCheckService, ServeDaemon
 from repro.workloads.suite import get_benchmark
 
+from gates import within
+
 #: Workload the clients upload: the dedup model at test scale — small
 #: enough that the daemon (not the detector) dominates, large enough to
 #: exercise the real batch lane per submission.
@@ -401,7 +403,8 @@ def main(argv=None) -> int:
     print(f"wrote {args.out}")
     if args.check:
         problems = []
-        if t["verdicts_per_sec"] < args.min_throughput:
+        if not within("verdicts/s", t["verdicts_per_sec"], ">=",
+                      args.min_throughput):
             problems.append(
                 f"throughput {t['verdicts_per_sec']:.1f}/s below "
                 f"{args.min_throughput}/s floor"
@@ -415,7 +418,8 @@ def main(argv=None) -> int:
             problems.append("saturation burst did not split into 202s + 429s")
         if not sat["drained_after_resume"]:
             problems.append("daemon did not drain after resume")
-        if dedup["hit_to_cold_ratio"] > args.max_hit_ratio:
+        if not within("dedup hit/cold", dedup["hit_to_cold_ratio"], "<=",
+                      args.max_hit_ratio):
             problems.append(
                 f"cache-hit latency ratio {dedup['hit_to_cold_ratio']:.4f} "
                 f"above {args.max_hit_ratio} ceiling"

@@ -23,7 +23,7 @@ class PreciseCounter:
     """Every operation contributes its full cost (hardware counters)."""
 
     def __call__(self, op: object) -> int:
-        return getattr(op, "cost", 0)
+        return op.cost
 
 
 class InstrumentedCounter:

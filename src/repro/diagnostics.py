@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional
 
+from .core.events import AccessEvent
 from .core.exceptions import RaceException
 from .runtime.recovery import RecoveryReport
 from .runtime.scheduler import ExecutionMonitor
@@ -167,13 +168,18 @@ class RaceReport:
 
 
 class RaceContextMonitor(ExecutionMonitor):
-    """Tracks per-address last-writer provenance and per-thread progress."""
+    """Tracks per-address last-writer provenance and per-thread progress.
+
+    Sites are kept as plain ``AccessSite`` field tuples on the per-access
+    path and become :class:`AccessSite` objects only in :meth:`report`.
+    """
 
     def __init__(self) -> None:
         self._op_index: Dict[int, int] = {}
         self._region_index: Dict[int, int] = {}
-        self._last_writer: Dict[int, AccessSite] = {}
-        self._current: Optional[AccessSite] = None
+        self._last_writer: Dict[int, tuple] = {}
+        self._current: Optional[tuple] = None
+        self._pending_write: Optional[tuple] = None
 
     # -- progress tracking ----------------------------------------------------
 
@@ -188,39 +194,34 @@ class RaceContextMonitor(ExecutionMonitor):
     def on_compute(self, tid: int, amount: int) -> None:
         self._op_index[tid] = self._op_index.get(tid, 0) + 1
 
-    def _site(self, tid: int, address: int, size: int, is_write: bool) -> AccessSite:
-        self._op_index[tid] = self._op_index.get(tid, 0) + 1
-        return AccessSite(
-            tid=tid,
-            op_index=self._op_index[tid],
-            region_index=self._region_index.get(tid, 0),
-            is_write=is_write,
-            address=address,
-            size=size,
-        )
+    def _site(self, event: AccessEvent) -> tuple:
+        tid = event.tid
+        op_index = self._op_index.get(tid, 0) + 1
+        self._op_index[tid] = op_index
+        return (tid, op_index, self._region_index.get(tid, 0),
+                event.is_write, event.address, event.size)
 
     # -- access tracking (runs before CleanMonitor's checks) --------------------
 
-    def before_write(self, tid, address, size, value, private) -> None:
-        if private:
+    def before_access(self, event: AccessEvent) -> None:
+        if event.private or not event.is_write:
             return
-        site = self._site(tid, address, size, True)
+        site = self._site(event)
         self._current = site
         # Record as last writer byte by byte *after* noting current, so a
         # raised exception still sees the previous writer.
         self._pending_write = site
 
-    def after_write(self, tid, address, size, value, private) -> None:
-        if private:
+    def after_access(self, event: AccessEvent) -> None:
+        if event.private:
             return
-        site = self._pending_write
-        for a in range(address, address + size):
-            self._last_writer[a] = site
-
-    def after_read(self, tid, address, size, value, private) -> None:
-        if private:
-            return
-        self._current = self._site(tid, address, size, False)
+        if event.is_write:
+            site = self._pending_write
+            last_writer = self._last_writer
+            for a in range(event.address, event.address + event.size):
+                last_writer[a] = site
+        else:
+            self._current = self._site(event)
 
     # -- reporting --------------------------------------------------------------
 
@@ -233,11 +234,14 @@ class RaceContextMonitor(ExecutionMonitor):
         observed the same run — adds hot-site provenance (rank and
         per-site check counts for the faulting address).
         """
-        current = self._current
-        if current is None:
+        if self._current is not None:
+            current = AccessSite(*self._current)
+        else:
             current = AccessSite(exc.accessing_tid, -1, -1,
                                  exc.kind != "RAW", exc.address, exc.size)
         previous = self._last_writer.get(exc.address)
+        if previous is not None:
+            previous = AccessSite(*previous)
         hot_site = None
         if sites is not None:
             stats = sites.addresses.get(exc.address)

@@ -62,7 +62,7 @@ class Op:
     is_sync = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Read(Op):
     """Load ``size`` bytes at ``address``; yields back the integer value."""
 
@@ -71,12 +71,23 @@ class Read(Op):
     private: bool = False
     weight: int = 1
 
+    def __init__(
+        self, address: int, size: int = 1, private: bool = False, weight: int = 1
+    ) -> None:
+        # Filling __dict__ directly skips the frozen dataclass's
+        # per-field object.__setattr__: memory ops are built per step.
+        d = self.__dict__
+        d["address"] = address
+        d["size"] = size
+        d["private"] = private
+        d["weight"] = weight
+
     @property
     def cost(self) -> int:
         return self.weight
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Write(Op):
     """Store ``value`` (little-endian) into ``size`` bytes at ``address``."""
 
@@ -85,6 +96,21 @@ class Write(Op):
     value: int = 0
     private: bool = False
     weight: int = 1
+
+    def __init__(
+        self,
+        address: int,
+        size: int = 1,
+        value: int = 0,
+        private: bool = False,
+        weight: int = 1,
+    ) -> None:
+        d = self.__dict__  # see Read.__init__
+        d["address"] = address
+        d["size"] = size
+        d["value"] = value
+        d["private"] = private
+        d["weight"] = weight
 
     @property
     def cost(self) -> int:
@@ -202,11 +228,14 @@ class Join(Op):
     is_sync = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Compute(Op):
     """Local computation worth ``amount`` instructions (no memory traffic)."""
 
     amount: int = 1
+
+    def __init__(self, amount: int = 1) -> None:
+        self.__dict__["amount"] = amount  # see Read.__init__
 
     @property
     def cost(self) -> int:

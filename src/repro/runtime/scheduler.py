@@ -88,7 +88,19 @@ __all__ = [
     "ScriptedPolicy",
     "SyncCommit",
     "ThreadStatus",
+    "randbelow",
 ]
+
+
+def randbelow(getrandbits: Callable[[int], int], n: int) -> int:
+    """``randrange(n)`` of the generator whose bound ``getrandbits`` is
+    given, draw for draw: CPython's ``_randbelow`` rejection loop, which
+    draws one bit even when ``n`` is 1."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 class ThreadStatus(Enum):
@@ -306,9 +318,10 @@ class RandomPolicy(SchedulingPolicy):
 
     def __init__(self, seed: int = 0) -> None:
         self._rng = random.Random(seed)
+        self._getrandbits = self._rng.getrandbits
 
     def pick(self, candidates: Sequence[int], step: int) -> int:
-        return candidates[self._rng.randrange(len(candidates))]
+        return candidates[randbelow(self._getrandbits, len(candidates))]
 
 
 class ScriptedPolicy(SchedulingPolicy):
@@ -811,8 +824,11 @@ class Scheduler:
             raise TypeError(
                 f"thread {record.tid} yielded {op!r}; expected an Op instance"
             )
-        # Non-sync ops (memory, compute, output) always complete.
-        if not op.is_sync or self._can_complete(record, op):
+        if not op.is_sync:
+            # Memory, compute and output ops always complete, and the
+            # record is already runnable with nothing pending.
+            self._handlers[type(op)](self, record, op)
+        elif self._can_complete(record, op):
             self._complete(record, op)
         else:
             self._park(record, op)
@@ -838,9 +854,6 @@ class Scheduler:
         handler = self._handlers[type(op)]
         handler(self, record, op)
 
-    def _charge(self, record: _ThreadRecord, op: Op) -> None:
-        record.det_counter += self.counter_cost(op)
-
     def _commit_sync(self, record: _ThreadRecord, op: Op, target: str) -> None:
         # A commit can change any parked op's feasibility (and Spawn
         # starts a thread): the ready set is stale.
@@ -849,7 +862,7 @@ class Scheduler:
             # The SFR is closing: its buffered writes become visible now,
             # which is exactly the paper's write-atomicity.
             self.recovery.commit(record.tid)
-        self._charge(record, op)
+        record.det_counter += self.counter_cost(op)
         record.region += 1
         self._sync_log.append(
             SyncCommit(
@@ -883,7 +896,7 @@ class Scheduler:
             value = self.memory.load_int(op.address, op.size)
         if not op.private:
             self._shared_reads += 1
-        self._charge(record, op)
+        record.det_counter += self.counter_cost(op)
         record.inbox = value
 
     def _do_write(self, record: _ThreadRecord, op: Write) -> None:
@@ -903,7 +916,7 @@ class Scheduler:
             self.memory.store_int(op.address, op.size, op.value)
         if not op.private:
             self._shared_writes += 1
-        self._charge(record, op)
+        record.det_counter += self.counter_cost(op)
 
     def _do_rmw(self, record: _ThreadRecord, op: AtomicRMW) -> None:
         tid = record.tid
@@ -929,7 +942,7 @@ class Scheduler:
             fn(write_event)
         self._shared_reads += 1
         self._shared_writes += 1
-        self._charge(record, op)
+        record.det_counter += self.counter_cost(op)
         record.inbox = old
 
     # -- memory operations (SFR write-buffered variants, recovery mode) ---------
@@ -960,7 +973,7 @@ class Scheduler:
             value = self.memory.load_int_overlay(op.address, op.size, overlay)
         if not op.private:
             self._shared_reads += 1
-        self._charge(record, op)
+        record.det_counter += self.counter_cost(op)
         record.inbox = value
 
     def _do_write_buffered(self, record: _ThreadRecord, op: Write) -> None:
@@ -980,7 +993,7 @@ class Scheduler:
             self.recovery.buffer_store(record.tid, op.address, op.size, op.value)
         if not op.private:
             self._shared_writes += 1
-        self._charge(record, op)
+        record.det_counter += self.counter_cost(op)
 
     def _do_rmw_buffered(self, record: _ThreadRecord, op: AtomicRMW) -> None:
         tid = record.tid
@@ -1007,7 +1020,7 @@ class Scheduler:
             fn(write_event)
         self._shared_reads += 1
         self._shared_writes += 1
-        self._charge(record, op)
+        record.det_counter += self.counter_cost(op)
         record.inbox = old
 
     # -- memory operations (pre-refactor reference dispatch) --------------------
@@ -1039,7 +1052,7 @@ class Scheduler:
             self._dispatch_event_legacy(self._ev_after, event)
         if not op.private:
             self._shared_reads += 1
-        self._charge(record, op)
+        record.det_counter += self.counter_cost(op)
         record.inbox = value
 
     def _do_write_legacy(self, record: _ThreadRecord, op: Write) -> None:
@@ -1061,7 +1074,7 @@ class Scheduler:
             self._dispatch_event_legacy(self._ev_after, event)
         if not op.private:
             self._shared_writes += 1
-        self._charge(record, op)
+        record.det_counter += self.counter_cost(op)
 
     def _do_rmw_legacy(self, record: _ThreadRecord, op: AtomicRMW) -> None:
         tid = record.tid
@@ -1101,7 +1114,7 @@ class Scheduler:
             self._dispatch_event_legacy(self._ev_after, write_event)
         self._shared_reads += 1
         self._shared_writes += 1
-        self._charge(record, op)
+        record.det_counter += self.counter_cost(op)
         record.inbox = old
 
     # -- synchronization operations ---------------------------------------------
@@ -1234,11 +1247,11 @@ class Scheduler:
     def _do_compute(self, record: _ThreadRecord, op: Compute) -> None:
         for hook in self._c_compute:
             hook(record.tid, op.amount)
-        self._charge(record, op)
+        record.det_counter += self.counter_cost(op)
 
     def _do_output(self, record: _ThreadRecord, op: Output) -> None:
         record.output.append(op.value)
-        self._charge(record, op)
+        record.det_counter += self.counter_cost(op)
 
     # -- thread lifecycle ----------------------------------------------------------
 

@@ -9,7 +9,8 @@ and in between owns the whole pipeline:
    (:class:`~repro.service.quota.QuotaManager`), then CRC validation of
    the upload (:func:`~repro.runtime.trace.verify_trace_bytes`) *before*
    anything touches disk: a corrupt trace costs one refused request,
-   never a worker;
+   never a worker (a dedup-cache hit, whose bytes were verified when
+   first admitted, skips the walk);
 2. **queueing** — accepted submissions spool to disk
    (:class:`~repro.service.store.SubmissionStore`) and enter a bounded
    ``queue.Queue``; a full queue raises :class:`QueueFull` (the daemon's
@@ -403,14 +404,19 @@ class RaceCheckService:
         if not self.quota.try_acquire(tenant):
             self._tinc("serve.quota_denied", tenant)
             raise QuotaExceeded(tenant, self.quota.retry_after_s())
-        try:
-            events = verify_trace_bytes(data, name=f"upload:{tenant}")
-        except ValueError as exc:
-            self.quota.refund(tenant)
-            self._tinc("serve.corrupt_rejected", tenant)
-            raise CorruptTrace(str(exc)) from None
         sha256 = hashlib.sha256(data).hexdigest()
         cached = self._cached_verdict(sha256)
+        # A hit's bytes equal bytes verified before their verdict was
+        # cached: it skips the CRC walk and reuses the verdict's event
+        # count.  A miss is verified before anything is persisted.
+        events = cached.get("events") if cached is not None else None
+        if not isinstance(events, int):
+            try:
+                events = verify_trace_bytes(data, name=f"upload:{tenant}")
+            except ValueError as exc:
+                self.quota.refund(tenant)
+                self._tinc("serve.corrupt_rejected", tenant)
+                raise CorruptTrace(str(exc)) from None
         with self._lock:
             self._accepted += 1
             if request_id is None or not request_id.strip():

@@ -390,6 +390,35 @@ class TestVerdictCache:
         finally:
             service.stop()
 
+    def test_hit_skips_crc_walk_with_equal_payload(
+        self, tmp_path, racy_bytes, monkeypatch
+    ):
+        import repro.service.service as service_mod
+
+        walks = []
+        verify = service_mod.verify_trace_bytes
+
+        def counting_verify(data, name="<upload>"):
+            walks.append(name)
+            return verify(data, name=name)
+
+        monkeypatch.setattr(service_mod, "verify_trace_bytes", counting_verify)
+        service = _service(tmp_path / "spool")
+        service.start()
+        try:
+            first = service.submit(racy_bytes)
+            assert service.drain(timeout=30)
+            assert len(walks) == 1  # the miss is verified before persisting
+            second = service.submit(racy_bytes)
+            assert len(walks) == 1  # the hit reuses the verified bytes
+            assert second["cached"] is True
+            # Field for field the 202 a walk would have produced.
+            assert second["events"] == first["events"] == verify(racy_bytes)
+            assert sorted(second) == sorted([*first, "cached"])
+            assert second["state"] == service.result(second["id"])["state"]
+        finally:
+            service.stop()
+
     def test_cache_hits_refund_quota(self, tmp_path, racy_bytes):
         service = _service(tmp_path / "spool", quota_tokens=2)
         service.start()

@@ -508,3 +508,28 @@ class TestDeadlockCoverage:
 
         with pytest.raises(DeadlockError):
             Program(main).run()
+
+
+class TestRandomDraws:
+    """``randbelow`` and ``RandomPolicy.pick`` reproduce ``randrange``
+    draw for draw, so schedules and kernel op streams stay as they were."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 31])
+    def test_randbelow_matches_randrange(self, seed):
+        import random
+
+        from repro.runtime.scheduler import randbelow
+
+        ours, ref = random.Random(seed), random.Random(seed)
+        for n in list(range(1, 65)) * 20:
+            assert randbelow(ours.getrandbits, n) == ref.randrange(n)
+        # Same generator state afterwards, including the bit drawn for n=1.
+        assert ours.random() == ref.random()
+
+    def test_pick_matches_randrange(self):
+        import random
+
+        policy, ref = RandomPolicy(5), random.Random(5)
+        for n in list(range(1, 65)) * 20:
+            candidates = list(range(100, 100 + n))
+            assert policy.pick(candidates, 0) == candidates[ref.randrange(n)]
